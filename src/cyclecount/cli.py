@@ -137,17 +137,17 @@ def cmd_count(args) -> int:
     if args.mode == "oracle":
         report = count_oracle(g, args.k)
     else:
-        report = count_fast(g, args.k, threads=args.threads)
+        report = count_fast(g, args.k, rooted=args.roots == "all", threads=args.threads)
     payload = report.to_json_dict()
     payload["n"] = g.n
     payload["m"] = g.num_edges
     payload["mode"] = args.mode
     payload["runtime_ms"] = (time.perf_counter() - t0) * 1000
-    if args.roots:
-        roots = (
-            range(g.n) if args.roots == "all"
-            else [int(t) for t in args.roots.split(",")]
-        )
+    if args.roots == "all":
+        rooted = report.rooted or count_fast(g, args.k, rooted=True).rooted
+        payload["rooted"] = {str(v): c for v, c in rooted.items()}
+    elif args.roots:
+        roots = [int(t) for t in args.roots.split(",")]
         payload["rooted"] = {str(v): count_rooted(g, args.k, v) for v in roots}
     if args.check:
         other = count_oracle(g, args.k) if args.mode == "fast" else count_fast(g, args.k)

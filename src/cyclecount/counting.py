@@ -1,14 +1,25 @@
 """Exact induced k-cycle counting: a subset oracle, a canonical-path
 enumerator, rooted variants, and the neighborhood-swap graph transform.
 
-The fast enumerator generates each induced k-cycle exactly once: the cycle is
-rooted at its minimum-label vertex, traversal direction is broken by requiring
-the second path vertex to carry a smaller label than the last one, and partial
-paths grow only through vertices adjacent to the tip and outside a forbidden
-bitset (the union of closed neighborhoods of all path vertices except the
-tip). The path closes back to the root only through a vertex adjacent to both
-tip and root and non-adjacent to every interior path vertex. Rooted counts
-reuse the same machinery with the root pinned instead of minimal.
+All five path-extension counters share one enumerator, `_walk`, which keeps
+its partial paths on an explicit stack, so a k-cycle needs no recursion depth
+at any k. A path grows only through neighbors of its tip that avoid the closed
+neighborhoods of the earlier interior vertices and of the root; it closes at
+the penultimate vertex through one mask of root neighbors that are still free,
+so the last vertex is counted by a popcount instead of a stack frame.
+
+`count_fast` roots each cycle at its minimum label and breaks direction by
+requiring the second vertex to carry a smaller label than the closing one, so
+every induced k-cycle is generated exactly once. With rooted=True the same
+pass credits vertices at closure (each path vertex with the completions below
+it, each closing vertex with one), which yields the whole per-vertex vector in
+one canonical pass. `count_rooted` and `count_containing_pair` pin the root
+instead, the latter with a vertex that must join the path; the edge and
+cherry counts start from a pinned two- or three-vertex path.
+
+Two checks stay independent of the crediting pass: the subset oracle
+`count_oracle`, and the pinned-root enumeration behind `count_rooted`, which
+the handshake identities compare with the credited vector vertex by vertex.
 
 Python integers are arbitrary precision, so totals can never overflow.
 """
@@ -108,94 +119,168 @@ def count_oracle(g: Graph, k: int, rooted: bool = False) -> CountReport:
     return report
 
 
-def _complete(adj, tip, forb, root_closed, adj_root, close_mask, allowed, remaining, wbit):
-    """Count induced completions of a partial cycle path back to its root.
+def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
+    """Count the induced completions of partial cycle paths back to their root.
 
-    forb: union of closed neighborhoods of the non-root, non-tip path
-    vertices. root_closed: closed neighborhood of the root. close_mask:
-    extra bitmask applied to the final vertex (direction tie-break and root
-    exclusion). allowed: label mask for all new vertices. wbit: if nonzero,
-    a single obligatory vertex that must still appear.
+    The walk runs an explicit stack of levels. A level holds `cand`, the
+    vertices that may come next after its tip, and the masks its children
+    inherit: `fk`, the vertices still free to become interior path vertices,
+    and `ck`, the vertices still free to close the cycle. Entering a vertex u
+    clears its closed neighborhood `ncl[u]` (stored complemented) from both.
+    A vertex chosen at level `last` is the penultimate one and is closed
+    inline through `adj[u] & ck`. The caller passes the path's tip as the
+    single candidate of level 0, with the masks of the path before it.
+
+    wbit: if nonzero, one vertex that must still join the path. It is needed
+    at a level exactly while it lies in fk | ck, and once it is a neighbor of
+    the chosen vertex it must come next.
+    credit: if a list, each path vertex is credited with the completions
+    below it and each closing vertex with one per closure.
     """
-    if wbit and wbit & forb:
+    if wbit and not wbit & (fk | ck):
         return 0
-    if remaining == 1:
-        cand = adj[tip] & adj_root & ~forb & close_mask & allowed
-        if wbit:
-            cand &= wbit
-        return cand.bit_count()
     total = 0
-    cand = adj[tip] & ~forb & ~root_closed & allowed
-    forb2 = forb | adj[tip] | (1 << tip)
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        total += _complete(
-            adj, low.bit_length() - 1, forb2, root_closed, adj_root,
-            close_mask, allowed, remaining - 1, wbit & ~low,
-        )
-    return total
+    level = 0
+    stack = []
+    if credit is None:
+        while True:
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                u = low.bit_length() - 1
+                if level == last:
+                    closers = adj[u] & ck
+                    if wbit and wbit & (fk | ck):
+                        closers &= wbit
+                    total += closers.bit_count()
+                    continue
+                nxt = adj[u] & fk
+                if wbit and wbit & (fk | ck) and wbit & adj[u]:
+                    nxt &= wbit
+                nu = ncl[u]
+                nck = ck & nu
+                if nxt and nck:
+                    stack.append((cand, fk, ck))
+                    cand = nxt
+                    fk &= nu
+                    ck = nck
+                    level += 1
+            elif stack:
+                cand, fk, ck = stack.pop()
+                level -= 1
+            else:
+                return total
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            if level == last:
+                closers = adj[u] & ck
+                if closers:
+                    c = closers.bit_count()
+                    total += c
+                    credit[u] += c
+                    while closers:
+                        x = closers & -closers
+                        closers ^= x
+                        credit[x.bit_length() - 1] += 1
+                continue
+            nxt = adj[u] & fk
+            nu = ncl[u]
+            nck = ck & nu
+            if nxt and nck:
+                stack.append((cand, fk, ck, u, total))
+                cand = nxt
+                fk &= nu
+                ck = nck
+                level += 1
+        elif stack:
+            cand, fk, ck, u, before = stack.pop()
+            credit[u] += total - before
+            level -= 1
+        else:
+            return total
 
 
-def _cycles_at_root(g: Graph, k: int, root: int, min_rooted: bool, wbit: int = 0) -> int:
-    """Induced k-cycles through `root`, each counted exactly once.
+def _open_masks(g: Graph) -> list[int]:
+    # complements of the closed neighborhoods, one per vertex
+    return [~(row | (1 << v)) for v, row in enumerate(g.rows)]
 
-    min_rooted restricts all other vertices to labels above the root (the
-    global canonical form); otherwise the root is merely pinned. Direction
-    symmetry is always broken by second-vertex < last-vertex.
+
+def _count_roots(g: Graph, k: int, roots, canonical: bool, wbit: int = 0,
+                 credit=None) -> int:
+    """Induced k-cycles through each root, summed over `roots`.
+
+    canonical restricts every other vertex to labels above the root, so each
+    cycle is found once, at its minimum label; otherwise the root is merely
+    pinned. Direction is broken by second vertex < closing vertex.
     """
     adj = g.rows
+    ncl = _open_masks(g)
     full = (1 << g.n) - 1
-    allowed = full & ~((1 << (root + 1)) - 1) if min_rooted else full
-    root_bit = 1 << root
-    adj_root = adj[root]
-    root_closed = adj_root | root_bit
     total = 0
-    cand = adj_root & allowed
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        p1 = low.bit_length() - 1
-        close_mask = ~((1 << (p1 + 1)) - 1) & ~root_bit
-        total += _complete(
-            adj, p1, 0, root_closed, adj_root, close_mask, allowed, k - 2, wbit & ~low
-        )
+    for root in roots:
+        allowed = full & -(2 << root) if canonical else full
+        adj_root = adj[root] & allowed
+        free = allowed & ncl[root]
+        through = 0
+        cand = adj_root
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            close = adj_root & -(low << 1)
+            if close:
+                through += _walk(adj, ncl, low, free, close, k - 3, wbit & ~low, credit)
+        if credit is not None:
+            credit[root] += through
+        total += through
     return total
 
 
-def _count_roots_block(args) -> int:
-    g, k, roots = args
-    return sum(_cycles_at_root(g, k, r, True) for r in roots)
+def _count_roots_block(args) -> tuple[int, list[int] | None]:
+    g, k, roots, rooted = args
+    credit = [0] * g.n if rooted else None
+    return _count_roots(g, k, roots, True, credit=credit), credit
 
 
 def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> CountReport:
     """Induced k-cycle count via canonical path extension (4 <= k <= n).
 
-    With threads > 1 the root loop is partitioned across worker processes;
-    the reduction is integer addition, so results are identical regardless
-    of thread count.
+    With rooted=True the same pass credits every vertex of every cycle, so
+    the per-vertex counts cost no extra enumeration. With threads > 1 the
+    root loop is partitioned across worker processes; the reduction is
+    integer addition, so results are identical regardless of thread count.
     """
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
     if threads > 1:
-        blocks = [(g, k, list(range(start, g.n, threads))) for start in range(threads)]
+        blocks = [
+            (g, k, range(start, g.n, threads), rooted) for start in range(threads)
+        ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(_count_roots_block, blocks))
+            parts = list(pool.map(_count_roots_block, blocks))
+        total = sum(t for t, _ in parts)
+        credit = [sum(c) for c in zip(*(c for _, c in parts))] if rooted else None
     else:
-        total = sum(_cycles_at_root(g, k, r, True) for r in range(g.n))
+        total, credit = _count_roots_block((g, k, range(g.n), rooted))
     report = CountReport(k=k, total=total)
     if rooted:
-        report.rooted = {v: count_rooted(g, k, v) for v in range(g.n)}
+        report.rooted = dict(enumerate(credit))
     return report
 
 
 def count_rooted(g: Graph, k: int, v: int) -> int:
-    """Number of induced k-cycles containing the vertex v."""
+    """Number of induced k-cycles containing the vertex v.
+
+    Enumerates with v pinned as the root, independently of the crediting
+    pass behind count_fast(rooted=True).
+    """
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} leaves 0..{g.n - 1}")
-    return _cycles_at_root(g, k, v, False)
+    return _count_roots(g, k, [v], False)
 
 
 def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
@@ -208,12 +293,9 @@ def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
     if not g.has_edge(v, w):
         raise ValueError(f"({v}, {w}) is not an edge")
-    adj = g.rows
-    full = (1 << g.n) - 1
-    root_bit = 1 << v
-    return _complete(
-        adj, w, 0, adj[v] | root_bit, adj[v], ~root_bit, full, k - 2, 0
-    )
+    ncl = _open_masks(g)
+    free = ((1 << g.n) - 1) & ncl[v]
+    return _walk(g.rows, ncl, 1 << w, free, g.rows[v], k - 3)
 
 
 def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
@@ -231,12 +313,9 @@ def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
         raise ValueError(f"{u} and {w} must both be neighbors of {v}")
     if g.has_edge(u, w):
         raise ValueError(f"cherry endpoints {u}, {w} must be non-adjacent")
-    adj = g.rows
-    full = (1 << g.n) - 1
-    root_bit = 1 << u
-    return _complete(
-        adj, w, adj[v] | (1 << v), adj[u] | root_bit, adj[u], ~root_bit, full, k - 3, 0
-    )
+    ncl = _open_masks(g)
+    free = ((1 << g.n) - 1) & ncl[u] & ncl[v]
+    return _walk(g.rows, ncl, 1 << w, free, g.rows[u] & ncl[v], k - 4)
 
 
 def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
@@ -245,7 +324,7 @@ def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
         raise ValueError("pair count needs two distinct vertices")
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
-    return _cycles_at_root(g, k, v, False, wbit=1 << w)
+    return _count_roots(g, k, [v], False, wbit=1 << w)
 
 
 def symmetrise(g: Graph, v_minus: int, v_plus: int) -> Graph:

@@ -35,7 +35,6 @@ from .counting import (
     count_containing_pair,
     count_fast,
     count_oracle,
-    count_rooted,
     symmetrise,
 )
 from .graph import Graph
@@ -275,7 +274,7 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0,
     for _ in range(budget):
         use_twin_move = k >= 5 and rng.random() < 0.1
         if use_twin_move:
-            rooted = [count_rooted(current, k, v) for v in range(n)]
+            rooted = list(count_fast(current, k, rooted=True).rooted.values())
             v_minus = int(np.argmin(rooted))
             v_plus = int(np.argmax(rooted))
             if v_minus == v_plus:

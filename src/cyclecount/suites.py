@@ -63,6 +63,10 @@ def identities_suite(num_graphs: int = 100, ks=(5, 6, 7),
         if k * report.total != sum(report.rooted.values()):
             handshake_fail.append((name, k, "vertex"))
         for v in range(g.n):
+            # the one-pass vector sums to k * total by construction, so it is
+            # checked vertex by vertex against the pinned-root enumeration
+            if report.rooted[v] != count_rooted(g, k, v):
+                handshake_fail.append((name, k, f"vertex@{v}"))
             edge_sum = sum(count_edge_rooted(g, k, v, w) for w in g.neighbors(v))
             if edge_sum != 2 * report.rooted[v]:
                 handshake_fail.append((name, k, f"edge@{v}"))

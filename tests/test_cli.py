@@ -60,6 +60,24 @@ def test_count_rooted_output(capsys):
     assert payload["report"]["rooted"] == {str(v): 6 for v in range(10)}
 
 
+@pytest.mark.parametrize("construct,n", [("petersen", 10), ("random:16,0.4", 16)])
+def test_count_roots_all_matches_explicit_list(capsys, construct, n):
+    base = ["count", "--construct", construct, "--k", "5", "--seed", "7"]
+    _, credited, _ = run_cli(capsys, *base, "--roots", "all")
+    listed_roots = ",".join(str(v) for v in range(n))
+    _, pinned, _ = run_cli(capsys, *base, "--roots", listed_roots)
+    assert credited["report"]["rooted"] == pinned["report"]["rooted"]
+    assert len(pinned["report"]["rooted"]) == n
+
+
+def test_count_long_cycle(capsys):
+    code, payload, _ = run_cli(
+        capsys, "count", "--construct", "cycle:1500", "--k", "1500"
+    )
+    assert code == 0
+    assert payload["report"]["total"] == 1
+
+
 def test_count_rejects_bad_k(capsys):
     code, _, err = run_cli(capsys, "count", "--construct", "cycle:3", "--k", "9")
     assert code == 1

@@ -1,6 +1,7 @@
 """Counting kernel: frozen values, oracle equivalence, rooted identities."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,20 @@ def test_fast_equals_oracle_on_random_graphs(n, p, seed, k):
 @settings(deadline=None, max_examples=25)
 @given(
     st.integers(min_value=8, max_value=13),
+    st.sampled_from([0.25, 0.4, 0.55, 0.7]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=4, max_value=7),
+)
+def test_rooted_vector_equals_oracle_and_pinned(n, p, seed, k):
+    g = random_graph(n, p, seed)
+    credited = count_fast(g, k, rooted=True).rooted
+    assert credited == count_oracle(g, k, rooted=True).rooted
+    assert [credited[v] for v in range(n)] == [count_rooted(g, k, v) for v in range(n)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(min_value=8, max_value=13),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=5, max_value=7),
 )
@@ -101,7 +116,9 @@ def test_handshake_identities(n, seed, k):
     rep = count_fast(g, k, rooted=True)
     assert k * rep.total == sum(rep.rooted.values())
     for v in range(g.n):
-        assert rep.rooted[v] == count_rooted(g, k, v)
+        # the credited vector sums to k * total by construction, so each
+        # entry is held against the pinned-root enumeration
+        assert rep.rooted[v] == count_rooted(g, k, v), f"vertex {v}"
         edge_sum = sum(count_edge_rooted(g, k, v, w) for w in g.neighbors(v))
         assert edge_sum == 2 * rep.rooted[v]
         cherry_sum = sum(
@@ -221,9 +238,34 @@ def test_symmetrise_identity_fails_for_k4():
 
 def test_threads_agree_with_single():
     g = random_graph(24, 0.4, 5)
-    a = count_fast(g, 6)
-    b = count_fast(g, 6, threads=2)
+    a = count_fast(g, 6, rooted=True)
+    b = count_fast(g, 6, rooted=True, threads=2)
     assert a.total == b.total
+    assert a.rooted == b.rooted
+
+
+def test_pair_count_equals_oracle_pairs():
+    g = random_graph(11, 0.45, 17)
+    for k in (4, 5, 6):
+        want = {}
+        for combo in itertools.combinations(range(g.n), k):
+            if is_induced_cycle(g, combo):
+                for pair in itertools.combinations(combo, 2):
+                    want[pair] = want.get(pair, 0) + 1
+        for v, w in itertools.combinations(range(g.n), 2):
+            assert count_containing_pair(g, k, v, w) == want.get((v, w), 0)
+            assert count_containing_pair(g, k, w, v) == want.get((v, w), 0)
+
+
+def test_long_cycle_counts_without_recursion():
+    limit = sys.getrecursionlimit()
+    g = cycle(1200)
+    assert count_fast(g, 1200).total == 1
+    assert count_rooted(g, 1200, 17) == 1
+    assert count_edge_rooted(g, 1200, 0, 1) == 1
+    assert count_cherry_rooted(g, 1200, 0, 1, 2) == 1
+    assert count_containing_pair(g, 1200, 3, 600) == 1
+    assert sys.getrecursionlimit() == limit
 
 
 def test_is_induced_cycle():
