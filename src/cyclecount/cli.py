@@ -171,7 +171,7 @@ def cmd_search(args) -> int:
         args.seed, __version__, _now(),
     )
     if args.mode == "exhaustive":
-        result = exhaustive_max(args.n, args.k, allow_large=args.allow_large)
+        result = exhaustive_max(args.n, args.k)
     else:
         result = local_search_max(args.n, args.k, budget=args.budget, seed=args.seed or 0)
     _emit(manifest, result.to_json_dict(), args.out)
@@ -236,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p_search.add_argument("--budget", type=int, default=1000)
     p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--allow-large", action="store_true",
-                          help="permit exhaustive n=8")
     p_search.add_argument("--out")
     p_search.set_defaults(func=cmd_search)
 

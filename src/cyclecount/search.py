@@ -1,11 +1,9 @@
 """Extremal search for the maximum induced k-cycle count on n vertices.
 
-exhaustive_max sweeps every labeled graph (all 2^C(n,2) edge masks) with a
-numpy-vectorized pattern lookup: for each k-subset of vertices the induced
-edge pattern is extracted by shifts and looked up in a table of which
-patterns form a cycle, built from the brute-force predicate. Full coverage
-of the labeled space trivially includes a representative of every
-isomorphism class. local_search_max hill-climbs with exact integer
+exhaustive_max is exact: it searches isomorphism classes, built level by
+level by vertex extension and deduplicated by a small partition-refinement
+canonical labeller (isomorph-free generation in the sense of McKay,
+J. Algorithms 26, 1998). local_search_max hill-climbs with exact integer
 objectives from deterministic constructed starting points, so its best value
 is a certified lower bound on the true maximum.
 """
@@ -13,10 +11,6 @@ is a certified lower bound on the true maximum.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
-import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -35,20 +29,24 @@ from .counting import (
     count_containing_pair,
     count_fast,
     count_oracle,
+    count_rooted,
     symmetrise,
 )
 from .graph import Graph
 
-EXHAUSTIVE_CEILING = 7       # guaranteed range
-EXHAUSTIVE_OVERRIDE = 8      # reachable with allow_large=True
-_CHUNK = 1 << 20
+EXHAUSTIVE_CEILING = 9
 _WITNESS_LIMIT = 10
 
 
 @dataclass
 class SearchResult:
     """Outcome of one search run; witnesses are canonical graph6 strings,
-    lexicographically smallest first."""
+    lexicographically smallest first.
+
+    explored counts the candidates examined: for exhaustive search, the
+    vertex extensions P + v scored, classes(n - 1) * 2^(n - 1); for local
+    search, the move budget.
+    """
 
     n: int
     k: int
@@ -74,150 +72,157 @@ class SearchResult:
         }
 
 
-def _cache_path(cache_dir: str, n: int, k: int, mode: str) -> str:
-    return os.path.join(cache_dir, f"{mode}_n{n}_k{k}.json")
+def _refine(rows, cells: list[int], splitters: list[int]) -> list[int]:
+    """Split the ordered cells until the partition is equitable.
 
-
-def _cache_load(cache_dir: str | None, n: int, k: int, mode: str) -> SearchResult | None:
-    if not cache_dir:
-        return None
-    path = _cache_path(cache_dir, n, k, mode)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="ascii") as fh:
-        data = json.load(fh)
-    return SearchResult(**data)
-
-def _cache_store(cache_dir: str | None, result: SearchResult, mode: str) -> None:
-    if not cache_dir:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, result.n, result.k, mode)
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(result.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
-
-
-@functools.lru_cache(maxsize=None)
-def _cycle_pattern_table(k: int) -> np.ndarray:
-    """table[pattern] = 1 iff the edge pattern on k labeled vertices is a
-    k-cycle. Pattern bit ell encodes pair number ell in row-major order.
+    Each cell is split by its vertices' neighbor counts in one splitter cell,
+    pieces in increasing count order. A split cell still queued as a splitter
+    is replaced there by its pieces; otherwise all pieces but the first
+    largest are queued, since counts into that one follow from the others.
+    Every decision depends on counts and cell positions only, never on
+    labels, so relabelling the graph relabels the result.
     """
-    pairs = list(itertools.combinations(range(k), 2))
-    table = np.zeros(1 << len(pairs), dtype=np.uint8)
-    for pattern in range(1 << len(pairs)):
-        if bin(pattern).count("1") != k:
+    while splitters:
+        splitter = splitters.pop()
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            pieces: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                d = (rows[low.bit_length() - 1] & splitter).bit_count()
+                pieces[d] = pieces.get(d, 0) | low
+            parts = [pieces[d] for d in sorted(pieces)]
+            out.extend(parts)
+            if len(parts) > 1:
+                if cell in splitters:
+                    splitters.remove(cell)
+                else:
+                    parts.remove(max(parts, key=int.bit_count))
+                splitters.extend(parts)
+        cells = out
+    return cells
+
+
+def _canonical(rows) -> tuple[int, ...]:
+    """Certificate of the graph with these adjacency rows: the smallest
+    relabelled row tuple over the leaves of the individualisation-refinement
+    tree. Isomorphic graphs get equal certificates, and the certificate is
+    itself the rows of an isomorphic graph.
+
+    At each node one vertex of the first smallest non-singleton cell is
+    individualised, skipping twins of vertices already tried there: the
+    transposition of two twins is an automorphism fixing the node, so their
+    subtrees hold the same leaves.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    best = None
+    stack = [_refine(rows, [full], [full])]
+    while stack:
+        cells = stack.pop()
+        if len(cells) == n:
+            # the leaf relabels the vertex of the p-th cell as p
+            pos = {c: 1 << p for p, c in enumerate(cells)}
+            leaf = []
+            for c in cells:
+                row, image = rows[c.bit_length() - 1], 0
+                while row:
+                    low = row & -row
+                    row ^= low
+                    image |= pos[low]
+                leaf.append(image)
+            leaf = tuple(leaf)
+            if best is None or leaf < best:
+                best = leaf
             continue
-        rows = [0] * k
-        for ell, (a, b) in enumerate(pairs):
-            if (pattern >> ell) & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-        if any(r.bit_count() != 2 for r in rows):
-            continue
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= rows[low.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen == (1 << k) - 1:
-            table[pattern] = 1
-    return table
+        target = min((c for c in cells if c & (c - 1)), key=int.bit_count)
+        at = cells.index(target)
+        tried = []
+        for v in range(n):
+            low = 1 << v
+            if not target & low or any(
+                rows[v] & ~t == rows[t.bit_length() - 1] & ~low for t in tried
+            ):
+                continue
+            tried.append(low)
+            split = cells[:at] + [low, target ^ low] + cells[at + 1:]
+            stack.append(_refine(rows, split, [low]))
+    return best
 
 
-def _pair_positions(n: int) -> dict[tuple[int, int], int]:
-    pos = {}
-    q = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos[(i, j)] = q
-            q += 1
-    return pos
+def _extend(rows, s: int) -> list[int]:
+    """Rows of the graph plus one new vertex adjacent to the set s."""
+    v = 1 << len(rows)
+    return [row | v if s >> u & 1 else row for u, row in enumerate(rows)] + [s]
 
 
-def _mask_to_graph(n: int, mask: int, pos: dict[tuple[int, int], int]) -> Graph:
-    rows = [0] * n
-    for (i, j), q in pos.items():
-        if (mask >> q) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, rows)
+# kept for the process's life; the ceiling bounds it at 12,346 classes
+@functools.cache
+def _classes(m: int) -> tuple[tuple[int, ...], ...]:
+    """One canonical representative per isomorphism class of m-vertex
+    graphs, built by extending each (m - 1)-vertex class by a vertex with
+    every neighborhood and deduplicating by certificate."""
+    if m == 1:
+        return ((0,),)
+    return tuple(sorted({
+        _canonical(_extend(rows, s))
+        for rows in _classes(m - 1)
+        for s in range(1 << (m - 1))
+    }))
 
 
-def _subset_counts(masks: np.ndarray, subset_positions: list[np.ndarray],
-                   table: np.ndarray) -> np.ndarray:
-    # edge masks fit in 31 bits up to the hard ceiling n = 8, so int32
-    # halves the memory traffic of the sweep
-    counts = np.zeros(masks.shape, dtype=np.int32)
-    one = np.int32(1)
-    for positions in subset_positions:
-        patt = np.zeros(masks.shape, dtype=np.int32)
-        for ell, q in enumerate(positions):
-            patt |= ((masks >> np.int32(q)) & one) << np.int32(ell)
-        counts += table[patt]
-    return counts
+def exhaustive_max(n: int, k: int) -> SearchResult:
+    """Exact maximum induced k-cycle count over all n-vertex graphs (n <= 9).
 
-
-def exhaustive_max(n: int, k: int, allow_large: bool = False,
-                   cache_dir: str | None = None) -> SearchResult:
-    """Exact maximum induced k-cycle count over all n-vertex graphs.
-
-    Enumerates the full labeled space. n <= 7 is the guaranteed range;
-    n = 8 requires allow_large=True (2^28 graphs, minutes of runtime).
-    The reported best is re-verified on a witness with the subset oracle.
+    Every n-vertex graph is isomorphic to P + v for some class representative
+    P on n - 1 vertices and some neighborhood S of the new vertex v, so the
+    maximum of count(P) + count(P + v through v) over all (P, S) is exact.
+    Witnesses are the maximizing classes, one canonical graph6 each, each
+    recounted by the subset oracle and the fast counter.
     """
     if not 3 <= k <= n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
-    ceiling = EXHAUSTIVE_OVERRIDE if allow_large else EXHAUSTIVE_CEILING
-    if n > ceiling:
-        raise ValueError(
-            f"exhaustive search above n={EXHAUSTIVE_CEILING} needs allow_large=True "
-            f"(hard ceiling {EXHAUSTIVE_OVERRIDE}), got n={n}"
-        )
-    cached = _cache_load(cache_dir, n, k, "exhaustive")
-    if cached is not None:
-        return cached
+    if n > EXHAUSTIVE_CEILING:
+        raise ValueError(f"exhaustive search needs n <= {EXHAUSTIVE_CEILING}, got n={n}")
     t0 = time.perf_counter()
-    pos = _pair_positions(n)
-    table = _cycle_pattern_table(k)
-    subset_positions = [
-        np.array([pos[pair] for pair in itertools.combinations(subset, 2)], dtype=np.int64)
-        for subset in itertools.combinations(range(n), k)
-    ]
-    total_masks = 1 << (n * (n - 1) // 2)
     best = -1
-    best_masks: list[int] = []
-    for start in range(0, total_masks, _CHUNK):
-        stop = min(start + _CHUNK, total_masks)
-        masks = np.arange(start, stop, dtype=np.int32)
-        counts = _subset_counts(masks, subset_positions, table)
-        chunk_best = int(counts.max())
-        if chunk_best > best:
-            best = chunk_best
-            best_masks = []
-        if chunk_best == best:
-            best_masks.extend(int(v) for v in masks[counts == best])
-    witnesses = heapq.nsmallest(
-        _WITNESS_LIMIT, (io.to_graph6(_mask_to_graph(n, m, pos)) for m in best_masks)
-    )
+    best_ext: list[tuple[tuple[int, ...], int]] = []
+    for rows in _classes(n - 1):
+        base = 0
+        if n - 1 >= k:
+            p = Graph(n - 1, rows)
+            base = count_fast(p, k).total if k >= 4 else count_oracle(p, 3).total
+        for s in range(1 << (n - 1)):
+            if k == 3:
+                # triangles through v are the edges inside its neighborhood
+                through = sum((rows[u] & s).bit_count() for u in range(n - 1) if s >> u & 1)
+                through //= 2
+            elif s.bit_count() < 2:
+                through = 0
+            else:
+                through = count_rooted(Graph(n, _extend(rows, s)), k, n - 1)
+            score = base + through
+            if score > best:
+                best, best_ext = score, []
+            if score == best:
+                best_ext.append((rows, s))
+    classes = {_canonical(_extend(rows, s)) for rows, s in best_ext}
+    witnesses = sorted(io.to_graph6(Graph(n, c)) for c in classes)[:_WITNESS_LIMIT]
     # independent recount of every stored witness
     for g6 in witnesses:
         g = io.from_graph6(g6)
-        if count_oracle(g, k).total != best:
-            raise RuntimeError("witness recount disagrees with sweep result")
-        if k >= 4 and count_fast(g, k).total != best:
-            raise RuntimeError("witness fast recount disagrees with sweep result")
-    result = SearchResult(
+        if count_oracle(g, k).total != best or k >= 4 and count_fast(g, k).total != best:
+            raise RuntimeError(f"witness {g6} recount disagrees with search result {best}")
+    return SearchResult(
         n=n, k=k, best_count=best, witnesses=witnesses, exhaustive=True,
-        explored=total_masks, runtime_ms=(time.perf_counter() - t0) * 1000,
+        explored=len(_classes(n - 1)) << (n - 1),
+        runtime_ms=(time.perf_counter() - t0) * 1000,
     )
-    _cache_store(cache_dir, result, "exhaustive")
-    return result
 
 
 def _starting_graphs(n: int, k: int) -> list[Graph]:
@@ -241,8 +246,7 @@ def _toggle_edge(g: Graph, u: int, w: int) -> Graph:
     return Graph(g.n, rows)
 
 
-def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0,
-                     cache_dir: str | None = None) -> SearchResult:
+def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> SearchResult:
     """Hill-climbing lower bound for the maximum induced k-cycle count.
 
     Moves: toggle a random vertex pair (evaluated incrementally through the
@@ -257,9 +261,6 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0,
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
     if budget < 1:
         raise ValueError("budget must be positive")
-    cached = _cache_load(cache_dir, n, k, "local")
-    if cached is not None and cached.seed == seed and cached.budget == budget:
-        return cached
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     current = None
@@ -314,23 +315,20 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0,
         raise RuntimeError(
             f"incremental bookkeeping drifted: recount {recount} != {best_count}"
         )
-    result = SearchResult(
+    return SearchResult(
         n=n, k=k, best_count=best_count, witnesses=[io.to_graph6(best)],
         exhaustive=False, explored=budget, seed=seed, budget=budget,
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
-    _cache_store(cache_dir, result, "local")
-    return result
 
 
-def monotonicity_report(k: int, n_max: int, allow_large: bool = False,
-                        cache_dir: str | None = None) -> DensityReport:
+def monotonicity_report(k: int, n_max: int) -> DensityReport:
     """Exact density sequence I(n)/C(n,k) for n = k..n_max from exhaustive
     search, with any monotonicity violation flagged."""
     if n_max < k:
         raise ValueError(f"need n_max >= k, got n_max={n_max}, k={k}")
     counts = {
-        n: exhaustive_max(n, k, allow_large=allow_large, cache_dir=cache_dir).best_count
+        n: exhaustive_max(n, k).best_count
         for n in range(k, n_max + 1)
     }
     return density_sequence(k, counts)

@@ -96,6 +96,12 @@ def test_search_exhaustive(capsys):
     assert payload["report"]["exhaustive"] is True
 
 
+def test_search_exhaustive_refuses_n_above_ceiling(capsys):
+    code, _, err = run_cli(capsys, "search", "--n", "10", "--k", "4")
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_search_local(capsys):
     code, payload, _ = run_cli(
         capsys, "search", "--n", "8", "--k", "5", "--mode", "local",

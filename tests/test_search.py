@@ -1,31 +1,45 @@
-"""Exhaustive sweep and stochastic local search."""
+"""Exhaustive search over isomorphism classes and stochastic local search."""
 
-import json
 import os
+from fractions import Fraction
+from math import comb
 
+import networkx as nx
 import pytest
 
 from cyclecount.counting import count_oracle
+from cyclecount.graph import from_edge_list
 from cyclecount.io import from_graph6
 from cyclecount.search import (
+    _classes,
     exhaustive_max,
     local_search_max,
     monotonicity_report,
 )
 
-# frozen after the first verified sweep of the full labeled space
+# frozen after the first verified sweep of the full labeled space; the n = 8
+# values were cross-checked against the labeled 2^28 sweep
 FROZEN_MAX = {
     (4, 4): 1,
     (5, 4): 3,
     (6, 4): 9,
     (7, 4): 18,
+    (8, 4): 36,
     (5, 5): 1,
     (6, 5): 2,
     (7, 5): 4,
+    (8, 5): 8,
     (6, 6): 1,
     (7, 6): 2,
     (7, 7): 1,
 }
+
+# graphs on n unlabeled vertices, OEIS A000088
+CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+
+def _nx_graph(g6):
+    return nx.from_graph6_bytes(g6.encode("ascii"))
 
 
 @pytest.mark.parametrize("n,k", sorted(FROZEN_MAX))
@@ -33,42 +47,53 @@ def test_exhaustive_frozen_values(n, k):
     r = exhaustive_max(n, k)
     assert r.best_count == FROZEN_MAX[(n, k)]
     assert r.exhaustive
-    assert r.explored == 1 << (n * (n - 1) // 2)
+    # every (n - 1)-vertex class extended by every neighborhood of v
+    assert r.explored == CLASS_COUNTS[n - 1] << (n - 1)
+
+
+def test_exhaustive_matches_graph_atlas():
+    # networkx's atlas lists every graph on at most 7 vertices and shares no
+    # code with the class generator or the labeller
+    atlas = {}
+    for h in nx.graph_atlas_g()[1:]:
+        atlas.setdefault(h.number_of_nodes(), []).append(h)
+    for n in range(1, 8):
+        assert len(atlas[n]) == len(_classes(n)) == CLASS_COUNTS[n]
+        graphs = [from_edge_list(n, h.edges()) for h in atlas[n]]
+        for k in range(3, n + 1):
+            r = exhaustive_max(n, k)
+            assert r.best_count == max(count_oracle(g, k).total for g in graphs), (n, k)
+            assert 1 <= len(r.witnesses) <= 10
+            assert r.witnesses == sorted(r.witnesses)
+            for g6 in r.witnesses:
+                assert count_oracle(from_graph6(g6), k).total == r.best_count
+            wits = [_nx_graph(g6) for g6 in r.witnesses]
+            for i, a in enumerate(wits):
+                for b in wits[i + 1:]:
+                    assert not nx.is_isomorphic(a, b), (n, k, r.witnesses)
+    # K_n alone has C(n, 3) triangles; C_n alone is an induced n-cycle
+    assert exhaustive_max(7, 3).best_count == comb(7, 3)
+    assert exhaustive_max(7, 7).best_count == 1
 
 
 def test_exhaustive_witnesses_attain_best():
+    # one witness per class: the (6, 4) maximum is attained by K_{3,3} alone
     r = exhaustive_max(6, 4)
-    assert 1 <= len(r.witnesses) <= 10
-    assert r.witnesses == sorted(r.witnesses)
-    for g6 in r.witnesses:
-        g = from_graph6(g6)
-        assert count_oracle(g, 4).total == r.best_count
-    # K_{3,3} attains the n=6 maximum of 9
-    from cyclecount.constructions import complete_bipartite
-
-    assert count_oracle(complete_bipartite(3, 3), 4).total == r.best_count
+    assert len(r.witnesses) == 1
+    assert count_oracle(from_graph6(r.witnesses[0]), 4).total == r.best_count
+    assert nx.is_isomorphic(_nx_graph(r.witnesses[0]), nx.complete_bipartite_graph(3, 3))
 
 
 def test_exhaustive_refuses_large_n_without_override():
+    # one fixed ceiling, n <= 9, with no override
     with pytest.raises(ValueError):
-        exhaustive_max(8, 4)
+        exhaustive_max(10, 4)
     with pytest.raises(ValueError):
-        exhaustive_max(9, 4, allow_large=True)  # hard ceiling
-
-
-def test_exhaustive_cache_round_trip(cache_dir):
-    a = exhaustive_max(5, 4, cache_dir=cache_dir)
-    path = os.path.join(cache_dir, "exhaustive_n5_k4.json")
-    assert os.path.exists(path)
-    with open(path) as fh:
-        stored = json.load(fh)
-    assert stored["best_count"] == 3
-    b = exhaustive_max(5, 4, cache_dir=cache_dir)
-    assert (a.best_count, a.witnesses) == (b.best_count, b.witnesses)
+        exhaustive_max(5, 6)
 
 
 def test_exhaustive_dominates_constructed_candidates():
-    # the sweep maximum can never sit below any feasible point we can build
+    # the exhaustive maximum can never sit below any feasible point we can build
     from cyclecount.constructions import (
         balanced_part_sizes,
         blow_up,
@@ -90,14 +115,11 @@ def test_exhaustive_dominates_constructed_candidates():
 
 
 def test_monotonicity_of_max_density():
-    rep4 = monotonicity_report(4, 7)
+    rep4 = monotonicity_report(4, 8)
     assert rep4.monotone, rep4.violations
-    rep5 = monotonicity_report(5, 7)
+    rep5 = monotonicity_report(5, 8)
     assert rep5.monotone, rep5.violations
     # every density sits at or above the balanced blow-up feasible point
-    from fractions import Fraction
-    from math import comb
-
     from cyclecount.constructions import balanced_part_sizes, blow_up, cycle
     from cyclecount.counting import count_fast
 
@@ -149,31 +171,26 @@ def test_local_search_validates_args():
         local_search_max(6, 5, budget=0)
 
 
-@pytest.mark.skipif(
-    os.environ.get("CYCLECOUNT_RUN_SLOW") != "1",
-    reason="full 2^28 sweep takes minutes; set CYCLECOUNT_RUN_SLOW=1",
-)
-def test_exhaustive_n8_k5_gated():
-    r = exhaustive_max(8, 5, allow_large=True)
-    assert r.exhaustive and r.explored == 1 << 28
+def test_exhaustive_n8_k5():
+    r = exhaustive_max(8, 5)
     # density must not rise from the n=7 value
     prev = exhaustive_max(7, 5)
-    from fractions import Fraction
-    from math import comb
-
     assert Fraction(r.best_count, comb(8, 5)) <= Fraction(prev.best_count, comb(7, 5))
 
 
-@pytest.mark.skipif(
-    os.environ.get("CYCLECOUNT_RUN_SLOW") != "1",
-    reason="full 2^28 sweep takes minutes; set CYCLECOUNT_RUN_SLOW=1",
-)
-def test_exhaustive_n8_k4_gated():
-    from fractions import Fraction
-    from math import comb
-
-    r = exhaustive_max(8, 4, allow_large=True)
-    assert r.exhaustive
+def test_exhaustive_n8_k4():
+    r = exhaustive_max(8, 4)
     dens = Fraction(r.best_count, comb(8, 4))
     # squeeze: cannot rise from n=7, cannot dip under the limit 3/8
     assert Fraction(3, 8) <= dens <= Fraction(FROZEN_MAX[(7, 4)], comb(7, 4))
+
+
+@pytest.mark.skipif(
+    os.environ.get("CYCLECOUNT_RUN_SLOW") != "1",
+    reason="about 3 million extensions, minutes; set CYCLECOUNT_RUN_SLOW=1",
+)
+def test_exhaustive_n9_k5_gated():
+    r = exhaustive_max(9, 5)
+    assert r.best_count == 16
+    assert r.explored == CLASS_COUNTS[8] << 8
+    assert Fraction(r.best_count, comb(9, 5)) <= Fraction(FROZEN_MAX[(8, 5)], comb(8, 5))
