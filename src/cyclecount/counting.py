@@ -1,7 +1,7 @@
 """Exact induced k-cycle counting: a subset oracle, a canonical-path
 enumerator, rooted variants, and the neighborhood-swap graph transform.
 
-All five path-extension counters share one enumerator, `_walk`, which keeps
+All the path-extension counters share one enumerator, `_walk`, which keeps
 its partial paths on an explicit stack, so a k-cycle needs no recursion depth
 at any k. A path grows only through neighbors of its tip that avoid the closed
 neighborhoods of the earlier interior vertices and of the root; it closes at
@@ -15,11 +15,16 @@ pass credits vertices at closure (each path vertex with the completions below
 it, each closing vertex with one), which yields the whole per-vertex vector in
 one canonical pass. `count_rooted` and `count_containing_pair` pin the root
 instead, the latter with a vertex that must join the path; the edge and
-cherry counts start from a pinned two- or three-vertex path.
+cherry counts start from a pinned two- or three-vertex path. `cycles_through`
+runs the crediting loop from a pinned root, optionally with a vertex that
+must join: it tallies, vertex by vertex, the cycles through one vertex or one
+pair, which is exactly what a change of the edges there can alter, so local
+search keeps its per-vertex vector up to date from two such walks per move.
 
-Two checks stay independent of the crediting pass: the subset oracle
-`count_oracle`, and the pinned-root enumeration behind `count_rooted`, which
-the handshake identities compare with the credited vector vertex by vertex.
+Two checks stay independent of the crediting loop: the subset oracle
+`count_oracle`, and the pinned-root total-only enumeration behind
+`count_rooted`, which the handshake identities compare with the credited
+vector vertex by vertex.
 
 Python integers are arbitrary precision, so totals can never overflow.
 """
@@ -135,7 +140,8 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
     at a level exactly while it lies in fk | ck, and once it is a neighbor of
     the chosen vertex it must come next.
     credit: if a list, each path vertex is credited with the completions
-    below it and each closing vertex with one per closure.
+    below it and each closing vertex with one per closure; wbit restricts
+    the crediting loop exactly as it does the total-only one.
     """
     if wbit and not wbit & (fk | ck):
         return 0
@@ -177,6 +183,8 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
             u = low.bit_length() - 1
             if level == last:
                 closers = adj[u] & ck
+                if wbit and wbit & (fk | ck):
+                    closers &= wbit
                 if closers:
                     c = closers.bit_count()
                     total += c
@@ -187,6 +195,8 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
                         credit[x.bit_length() - 1] += 1
                 continue
             nxt = adj[u] & fk
+            if wbit and wbit & (fk | ck) and wbit & adj[u]:
+                nxt &= wbit
             nu = ncl[u]
             nck = ck & nu
             if nxt and nck:
@@ -201,6 +211,12 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
             level -= 1
         else:
             return total
+
+
+def _check_vertices(g: Graph, *vertices: int) -> None:
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} leaves 0..{g.n - 1}")
 
 
 def _open_masks(g: Graph) -> list[int]:
@@ -278,8 +294,7 @@ def count_rooted(g: Graph, k: int, v: int) -> int:
     """
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} leaves 0..{g.n - 1}")
+    _check_vertices(g, v)
     return _count_roots(g, k, [v], False)
 
 
@@ -324,7 +339,32 @@ def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
         raise ValueError("pair count needs two distinct vertices")
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_vertices(g, v, w)
     return _count_roots(g, k, [v], False, wbit=1 << w)
+
+
+def cycles_through(g: Graph, k: int, v: int, w: int | None = None) -> list[int]:
+    """Per-vertex tallies of the induced k-cycles through v, or through both
+    v and w when w is given: entry x counts those cycles that contain x, so
+    entry v is their number.
+
+    One walk with v pinned as the root (and w required) credits every
+    vertex, so a change of the edges at v, or of the pair vw, moves the
+    whole per-vertex vector by the difference of this function before and
+    after the change.
+    """
+    if not 4 <= k <= g.n:
+        raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_vertices(g, v)
+    wbit = 0
+    if w is not None:
+        if v == w:
+            raise ValueError("pair count needs two distinct vertices")
+        _check_vertices(g, w)
+        wbit = 1 << w
+    credit = [0] * g.n
+    _count_roots(g, k, [v], False, wbit, credit)
+    return credit
 
 
 def symmetrise(g: Graph, v_minus: int, v_plus: int) -> Graph:
@@ -337,6 +377,7 @@ def symmetrise(g: Graph, v_minus: int, v_plus: int) -> Graph:
     identity for the global count; for k = 4 twins can share a cycle and the
     identity fails.
     """
+    _check_vertices(g, v_minus, v_plus)
     if v_minus == v_plus:
         raise ValueError("symmetrise needs two distinct vertices")
     twin_row = g.rows[v_plus] & ~(1 << v_minus)
@@ -349,4 +390,4 @@ def symmetrise(g: Graph, v_minus: int, v_plus: int) -> Graph:
             if (twin_row >> u) & 1:
                 row |= 1 << v_minus
             rows.append(row)
-    return Graph(g.n, rows)
+    return Graph._trusted(g.n, rows)

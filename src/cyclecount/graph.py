@@ -17,7 +17,8 @@ class Graph:
 
     Instances are immutable after construction (rows are stored as a tuple
     and never mutated), so they can be shared freely across worker threads
-    or processes. Construction validates symmetry and irreflexivity.
+    or processes. Construction validates symmetry and irreflexivity; only
+    `_trusted`, for rows derived from a valid graph, skips that.
     """
 
     __slots__ = ("n", "rows")
@@ -44,6 +45,16 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {v} and {w}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, n: int, rows) -> Graph:
+        """A graph from rows already known to be symmetric, loopless and in
+        range, built without revalidation; for graphs derived inside the
+        package from a valid one, such as toggled or symmetrised copies."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", tuple(rows))
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

@@ -30,6 +30,7 @@ from .counting import (
     count_fast,
     count_oracle,
     count_rooted,
+    cycles_through,
     symmetrise,
 )
 from .graph import Graph
@@ -205,7 +206,7 @@ def exhaustive_max(n: int, k: int) -> SearchResult:
             elif s.bit_count() < 2:
                 through = 0
             else:
-                through = count_rooted(Graph(n, _extend(rows, s)), k, n - 1)
+                through = count_rooted(Graph._trusted(n, _extend(rows, s)), k, n - 1)
             score = base + through
             if score > best:
                 best, best_ext = score, []
@@ -243,19 +244,25 @@ def _toggle_edge(g: Graph, u: int, w: int) -> Graph:
     rows = list(g.rows)
     rows[u] ^= 1 << w
     rows[w] ^= 1 << u
-    return Graph(g.n, rows)
+    return Graph._trusted(g.n, rows)
 
 
 def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> SearchResult:
     """Hill-climbing lower bound for the maximum induced k-cycle count.
 
-    Moves: toggle a random vertex pair (evaluated incrementally through the
-    pair-restricted count, since only cycles through both endpoints change),
-    or replace the vertex of smallest rooted count by a non-adjacent twin of
-    the vertex of largest rooted count. Strictly improving moves are always
-    accepted, equal-value moves with probability 1/2; after budget//10
-    consecutive non-improving steps the walk restarts. The final witness is
-    recounted independently.
+    Moves: toggle a random vertex pair, or (k >= 5) replace the vertex of
+    smallest rooted count by a non-adjacent twin of the vertex of largest
+    rooted count. A move changes only the edges at one pair or one vertex,
+    so only the cycles through that pair or vertex change: it is scored by
+    one walk pinned there in the current graph and one in the candidate.
+    For k >= 5 the walks credit every vertex, and an accepted move adds the
+    difference of their vectors to the kept per-vertex counts, so full
+    passes run only at the start, after each restart and once at the end,
+    where the kept counts must equal a recount. k = 4 has no twin moves and
+    keeps no vector. Strictly improving moves are always accepted,
+    equal-value moves with probability 1/2; after budget//10 consecutive
+    non-improving steps the walk restarts. The final witness is recounted
+    independently.
     """
     if not 4 <= k <= n:
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
@@ -263,42 +270,52 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         raise ValueError("budget must be positive")
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    current = None
-    cur_count = -1
+
+    def full_count(g: Graph) -> tuple[int, list[int] | None]:
+        if k == 4:
+            return count_fast(g, k).total, None
+        rep = count_fast(g, k, rooted=True)
+        return rep.total, list(rep.rooted.values())
+
+    current, cur_count, rooted = None, -1, None
     for g in _starting_graphs(n, k):
-        cnt = count_fast(g, k).total
+        cnt, vec = full_count(g)
         if cnt > cur_count:
-            current, cur_count = g, cnt
+            current, cur_count, rooted = g, cnt, vec
     best, best_count = current, cur_count
     stale = 0
     restart_after = max(1, budget // 10)
     for _ in range(budget):
         use_twin_move = k >= 5 and rng.random() < 0.1
         if use_twin_move:
-            rooted = list(count_fast(current, k, rooted=True).rooted.values())
-            v_minus = int(np.argmin(rooted))
-            v_plus = int(np.argmax(rooted))
+            v_minus = rooted.index(min(rooted))
+            v_plus = rooted.index(max(rooted))
             if v_minus == v_plus:
                 continue
-            pair_cut = count_containing_pair(current, k, v_minus, v_plus)
             candidate = symmetrise(current, v_minus, v_plus)
-            # exact update: drop all cycles at v_minus, copy those at v_plus,
-            # minus the double-counted ones through both (valid for k >= 5)
-            new_count = cur_count - rooted[v_minus] + rooted[v_plus] - pair_cut
+            before = cycles_through(current, k, v_minus)
+            after = cycles_through(candidate, k, v_minus)
+            new_count = cur_count - before[v_minus] + after[v_minus]
         else:
             u = int(rng.integers(n))
             w = int(rng.integers(n - 1))
             if w >= u:
                 w += 1
-            before = count_containing_pair(current, k, u, w)
             candidate = _toggle_edge(current, u, w)
-            after = count_containing_pair(candidate, k, u, w)
-            new_count = cur_count - before + after
+            if rooted is None:
+                new_count = (cur_count - count_containing_pair(current, k, u, w)
+                             + count_containing_pair(candidate, k, u, w))
+            else:
+                before = cycles_through(current, k, u, w)
+                after = cycles_through(candidate, k, u, w)
+                new_count = cur_count - before[u] + after[u]
         accept = new_count > cur_count or (
             new_count == cur_count and rng.random() < 0.5
         )
         if accept:
             current, cur_count = candidate, new_count
+            if rooted is not None:
+                rooted = [r - b + a for r, b, a in zip(rooted, before, after)]
         if cur_count > best_count:
             best, best_count = current, cur_count
             stale = 0
@@ -306,8 +323,10 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
             stale += 1
             if stale >= restart_after:
                 current = random_graph(n, 0.5, int(rng.integers(1 << 62)))
-                cur_count = count_fast(current, k).total
+                cur_count, rooted = full_count(current)
                 stale = 0
+    if rooted is not None and full_count(current) != (cur_count, rooted):
+        raise RuntimeError("incremental per-vertex counts drifted from a full recount")
     recount = (
         count_oracle(best, k).total if n <= 12 else count_fast(best, k).total
     )

@@ -23,10 +23,11 @@ from cyclecount.counting import (
     count_fast,
     count_oracle,
     count_rooted,
+    cycles_through,
     is_induced_cycle,
     symmetrise,
 )
-from cyclecount.graph import from_edge_list, nonadjacent_neighbor_pairs
+from cyclecount.graph import Graph, from_edge_list, nonadjacent_neighbor_pairs
 
 # values below were frozen from the subset-enumeration oracle
 FROZEN = [
@@ -257,6 +258,58 @@ def test_pair_count_equals_oracle_pairs():
             assert count_containing_pair(g, k, w, v) == want.get((v, w), 0)
 
 
+def _oracle_tallies(g, k, must):
+    # per-vertex tallies over the subset oracle's cycles that contain `must`
+    tally = [0] * g.n
+    for combo in itertools.combinations(range(g.n), k):
+        if must <= set(combo) and is_induced_cycle(g, combo):
+            for x in combo:
+                tally[x] += 1
+    return tally
+
+
+def test_cycles_through_equals_oracle_tallies():
+    g = random_graph(11, 0.45, 17)
+    for k in (4, 5, 6):
+        for v in range(g.n):
+            assert cycles_through(g, k, v) == _oracle_tallies(g, k, {v}), (k, v)
+        for v, w in itertools.permutations(range(g.n), 2):
+            assert cycles_through(g, k, v, w) == _oracle_tallies(g, k, {v, w}), (k, v, w)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(min_value=8, max_value=12),
+    st.sampled_from([0.3, 0.45, 0.6]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=5, max_value=7),
+    st.data(),
+)
+def test_vector_kept_by_deltas_equals_oracle(n, p, seed, k, data):
+    # a toggle of uw changes only the cycles through both u and w, a
+    # symmetrisation only those through v_minus; the kept vector is held
+    # against the subset oracle after every move
+    g = random_graph(n, p, seed)
+    kept = count_oracle(g, k, rooted=True).rooted
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(6):
+        a = data.draw(vertex)
+        b = data.draw(vertex.filter(lambda x: x != a))
+        if data.draw(st.booleans()):
+            rows = list(g.rows)
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            h = Graph(n, rows)
+            delta = zip(cycles_through(g, k, a, b), cycles_through(h, k, a, b))
+        else:
+            h = symmetrise(g, a, b)
+            delta = zip(cycles_through(g, k, a), cycles_through(h, k, a))
+        for x, (before, after) in enumerate(delta):
+            kept[x] += after - before
+        g = h
+        assert kept == count_oracle(g, k, rooted=True).rooted
+
+
 def test_long_cycle_counts_without_recursion():
     limit = sys.getrecursionlimit()
     g = cycle(1200)
@@ -301,6 +354,24 @@ def test_argument_validation():
         count_cherry_rooted(g, 6, 1, 1, 3)
     with pytest.raises(ValueError):
         symmetrise(g, 1, 1)
+    with pytest.raises(ValueError):
+        cycles_through(g, 3, 0)
+    with pytest.raises(ValueError):
+        cycles_through(g, 6, 2, 2)
+
+
+@pytest.mark.parametrize("v,w", [(0, -1), (-1, 0), (0, 6), (9, 0)])
+def test_vertices_outside_the_graph_are_refused(v, w):
+    # -1 once wrapped round to vertex 5 in symmetrise, and the pair count
+    # reported 0 for a vertex the graph does not have
+    g = cycle(6)
+    for call in (
+        lambda: symmetrise(g, v, w),
+        lambda: count_containing_pair(g, 5, v, w),
+        lambda: cycles_through(g, 5, v, w),
+    ):
+        with pytest.raises(ValueError, match="leaves 0..5"):
+            call()
 
 
 def test_cherry_rooted_requires_real_cherry():

@@ -1,6 +1,7 @@
 """Graph container invariants, mostly property-based."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,16 @@ def test_graph_is_immutable_and_hashable():
     import pickle
 
     assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_trusted_constructor_builds_an_equal_immutable_graph():
+    g = from_edge_list(4, [(0, 1), (1, 2)])
+    t = Graph._trusted(4, list(g.rows))
+    assert t == g and hash(t) == hash(g) and isinstance(t.rows, tuple)
+    with pytest.raises(AttributeError):
+        t.n = 5
+    # unpickling goes back through the validating constructor
+    assert pickle.loads(pickle.dumps(t)) == g
 
 
 def test_min_degree_vertex_breaks_ties_low():

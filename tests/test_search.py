@@ -6,12 +6,17 @@ from math import comb
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclecount.counting import count_oracle
-from cyclecount.graph import from_edge_list
+from cyclecount import search
+from cyclecount.constructions import random_graph
+from cyclecount.counting import count_oracle, symmetrise
+from cyclecount.graph import Graph, from_edge_list
 from cyclecount.io import from_graph6
 from cyclecount.search import (
     _classes,
+    _toggle_edge,
     exhaustive_max,
     local_search_max,
     monotonicity_report,
@@ -32,6 +37,16 @@ FROZEN_MAX = {
     (6, 6): 1,
     (7, 6): 2,
     (7, 7): 1,
+}
+
+# (n, k, budget, seed) -> (best_count, witness), frozen from the local search
+# that recounted all n rooted counts for every twin move
+FROZEN_LOCAL = {
+    (8, 5, 120, 9): (8, "G]Ko]C"),
+    (7, 5, 200, 0): (4, "F]KMG"),
+    (12, 6, 500, 4): (64, "K]KoWWB?u@wE"),
+    (16, 7, 800, 5): (288, "OFz_wwB?o@_E?B?B[?^?E"),
+    (20, 5, 1000, 6): (1024, "S?~vf_NBo]@w?N?N?F_@w{?~oBv_Ff_F_"),
 }
 
 # graphs on n unlabeled vertices, OEIS A000088
@@ -162,6 +177,70 @@ def test_local_search_is_deterministic_per_seed():
     b = local_search_max(8, 5, budget=120, seed=9)
     assert a.best_count == b.best_count
     assert a.witnesses == b.witnesses
+
+
+@pytest.mark.parametrize("args", sorted(FROZEN_LOCAL))
+def test_local_search_frozen_results(args):
+    r = local_search_max(*args)
+    assert (r.best_count, r.witnesses) == (FROZEN_LOCAL[args][0], [FROZEN_LOCAL[args][1]])
+
+
+def test_local_search_full_passes(monkeypatch):
+    # one full pass per start and per restart, the drift check and, for
+    # n > 12, the final recount of the witness; twin moves run none
+    calls = {"count_fast": 0, "random_graph": 0, "symmetrise": 0}
+
+    def counted(name):
+        real = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    local_search_max(16, 7, budget=800, seed=5)
+    assert calls["symmetrise"] > 0
+    assert calls["count_fast"] == 1 + calls["random_graph"] + 2
+
+
+def test_local_search_raises_when_kept_counts_drift(monkeypatch):
+    # every second walk is the candidate's; skewing only those walks at a
+    # vertex off the pinned one leaves the scores alone but drifts the kept
+    # vector by one on each accepted move
+    real = search.cycles_through
+    walks = []
+
+    def skewed(g, k, v, w=None):
+        vec = real(g, k, v, w)
+        walks.append(v)
+        if len(walks) % 2 == 0:
+            vec[next(x for x in range(g.n) if x not in (v, w))] += 1
+        return vec
+
+    monkeypatch.setattr(search, "cycles_through", skewed)
+    with pytest.raises(RuntimeError, match="drifted"):
+        local_search_max(8, 5, budget=120, seed=9)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=2, max_value=14),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_derived_graphs_pass_validation(n, p, seed, data):
+    # toggled and symmetrised graphs skip revalidation, so each must equal
+    # the graph that validated construction builds from its rows
+    g = random_graph(n, p, seed)
+    u = data.draw(st.integers(min_value=0, max_value=n - 1))
+    w = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x: x != u))
+    for h in (_toggle_edge(g, u, w), symmetrise(g, u, w)):
+        assert h == Graph(n, h.rows)
+        assert isinstance(h.rows, tuple)
 
 
 def test_local_search_validates_args():
