@@ -35,21 +35,32 @@ from .bounds import (
     vertex_bound,
     vertex_bound_relaxed,
 )
-from .analytic import (
-    OptProblem,
-    OptResult,
-    VerificationError,
-    f_properties,
-    final_constant,
-    maximize_g_c,
-    maximize_g_uw,
-    solve_A,
-    verify_mindeg_chain,
-    verify_rangec,
-)
 from .search import SearchResult, exhaustive_max, local_search_max, monotonicity_report
 
 __version__ = "0.1.0"
+
+# the analytic solvers need numpy, so they load on first access (PEP 562)
+# and importing the package or its CLI does not import numpy
+_ANALYTIC = frozenset({
+    "OptProblem",
+    "OptResult",
+    "VerificationError",
+    "f_properties",
+    "final_constant",
+    "maximize_g_c",
+    "maximize_g_uw",
+    "solve_A",
+    "verify_mindeg_chain",
+    "verify_rangec",
+})
+
+
+def __getattr__(name: str):
+    if name in _ANALYTIC:
+        from . import analytic
+
+        return getattr(analytic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BlowUpSpec",

@@ -175,9 +175,12 @@ def cmd_search(args) -> int:
     else:
         result = local_search_max(args.n, args.k, budget=args.budget, seed=args.seed or 0)
     _emit(manifest, result.to_json_dict(), args.out)
+    if result.exhaustive:
+        how = f"exact; {len(result.levels)} levels, {result.explored} extensions scored"
+    else:
+        how = "lower bound"
     print(
-        f"best induced {args.k}-cycle count on n={args.n}: {result.best_count} "
-        f"({'exact' if result.exhaustive else 'lower bound'})",
+        f"best induced {args.k}-cycle count on n={args.n}: {result.best_count} ({how})",
         file=sys.stderr,
     )
     return 0

@@ -8,8 +8,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph, from_edge_list
 
 
@@ -149,6 +147,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random(n * (n - 1) // 2)
     rows = [0] * n

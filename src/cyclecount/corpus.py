@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constructions import (
     blow_up,
     complete_bipartite,
@@ -62,6 +60,8 @@ def random_instances(count: int, n_lo: int, n_hi: int, seed: int,
     """Deterministic family of random graphs: sizes cycle through
     [n_lo, n_hi], densities cycle through ps, per-graph seeds come from
     SeedSequence(seed).generate_state(count)."""
+    import numpy as np
+
     state = np.random.SeedSequence(seed).generate_state(count)
     out = []
     span = n_hi - n_lo + 1

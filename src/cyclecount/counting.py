@@ -219,9 +219,26 @@ def _check_vertices(g: Graph, *vertices: int) -> None:
             raise ValueError(f"vertex {v} leaves 0..{g.n - 1}")
 
 
-def _open_masks(g: Graph) -> list[int]:
-    # complements of the closed neighborhoods, one per vertex
-    return [~(row | (1 << v)) for v, row in enumerate(g.rows)]
+def _through_root(adj, ncl, nbrs, free, k: int, wbit: int = 0, credit=None) -> int:
+    """Induced k-cycles through a root whose other vertices lie in
+    nbrs | free, where nbrs are the root's neighbors there and free its
+    non-neighbors; the root lies in neither. Direction is broken by second
+    vertex < closing vertex.
+
+    The walks never enter the root, so its bit in the rows and open masks
+    is never read: the cycles through a new vertex joined to a set s of a
+    graph are counted with that graph's own rows and masks, nbrs = s and
+    free = the rest of its vertices.
+    """
+    through = 0
+    cand = nbrs
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        close = nbrs & -(low << 1)
+        if close:
+            through += _walk(adj, ncl, low, free, close, k - 3, wbit & ~low, credit)
+    return through
 
 
 def _count_roots(g: Graph, k: int, roots, canonical: bool, wbit: int = 0,
@@ -233,21 +250,13 @@ def _count_roots(g: Graph, k: int, roots, canonical: bool, wbit: int = 0,
     pinned. Direction is broken by second vertex < closing vertex.
     """
     adj = g.rows
-    ncl = _open_masks(g)
+    ncl = g._open_masks()
     full = (1 << g.n) - 1
     total = 0
     for root in roots:
         allowed = full & -(2 << root) if canonical else full
-        adj_root = adj[root] & allowed
-        free = allowed & ncl[root]
-        through = 0
-        cand = adj_root
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            close = adj_root & -(low << 1)
-            if close:
-                through += _walk(adj, ncl, low, free, close, k - 3, wbit & ~low, credit)
+        through = _through_root(adj, ncl, adj[root] & allowed, allowed & ncl[root], k,
+                                wbit, credit)
         if credit is not None:
             credit[root] += through
         total += through
@@ -308,7 +317,7 @@ def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
     if not g.has_edge(v, w):
         raise ValueError(f"({v}, {w}) is not an edge")
-    ncl = _open_masks(g)
+    ncl = g._open_masks()
     free = ((1 << g.n) - 1) & ncl[v]
     return _walk(g.rows, ncl, 1 << w, free, g.rows[v], k - 3)
 
@@ -328,7 +337,7 @@ def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
         raise ValueError(f"{u} and {w} must both be neighbors of {v}")
     if g.has_edge(u, w):
         raise ValueError(f"cherry endpoints {u}, {w} must be non-adjacent")
-    ncl = _open_masks(g)
+    ncl = g._open_masks()
     free = ((1 << g.n) - 1) & ncl[u] & ncl[v]
     return _walk(g.rows, ncl, 1 << w, free, g.rows[u] & ncl[v], k - 4)
 

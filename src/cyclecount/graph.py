@@ -18,10 +18,12 @@ class Graph:
     Instances are immutable after construction (rows are stored as a tuple
     and never mutated), so they can be shared freely across worker threads
     or processes. Construction validates symmetry and irreflexivity; only
-    `_trusted`, for rows derived from a valid graph, skips that.
+    `_trusted`, for rows derived from a valid graph, skips that. The slot
+    `_open` caches the open neighborhood masks of `_open_masks`; it takes
+    no part in equality, hashing or pickling.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_open")
 
     def __init__(self, n: int, rows) -> None:
         if not 1 <= n <= MAX_VERTICES:
@@ -58,6 +60,17 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def _open_masks(self) -> tuple[int, ...]:
+        """Complements of the closed neighborhoods, one per vertex, computed
+        on first use and kept: the rows never change, so they cannot go
+        stale."""
+        try:
+            return self._open
+        except AttributeError:
+            masks = tuple(~(row | (1 << v)) for v, row in enumerate(self.rows))
+            object.__setattr__(self, "_open", masks)
+            return masks
 
     def __reduce__(self):
         # default pickling would go through __setattr__, which is blocked

@@ -1,41 +1,47 @@
 """Extremal search for the maximum induced k-cycle count on n vertices.
 
-exhaustive_max is exact: it searches isomorphism classes, built level by
-level by vertex extension and deduplicated by a small partition-refinement
-canonical labeller (isomorph-free generation in the sense of McKay,
-J. Algorithms 26, 1998). local_search_max hill-climbs with exact integer
-objectives from deterministic constructed starting points, so its best value
-is a certified lower bound on the true maximum.
+exhaustive_max is exact. It builds isomorphism classes level by level by
+vertex extension, deduplicated by a small partition-refinement canonical
+labeller (isomorph-free generation in the sense of McKay, J. Algorithms 26,
+1998), and keeps at each level only the classes that can still grow into a
+maximizer. Deleting a vertex keeps every k-cycle that avoids it, so
+sum_v count(G - v) = (m - k) count(G) on m vertices (the averaging argument
+of Pippenger and Golumbic, 1975): a graph with count >= t has a vertex
+whose deletion leaves count >= ceil(t (m - k) / m). Starting from a lower
+bound L on the maximum, the count of a concrete graph, these thresholds
+descend to 1 at m = k, where the only class is C_k. local_search_max
+hill-climbs with exact integer objectives from deterministic constructed
+starting points, so its best value is a certified lower bound on the true
+maximum.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import io
 from .bounds import density_sequence, DensityReport
 from .constructions import (
     balanced_part_sizes,
     blow_up,
+    complete_graph,
     cycle,
     iterated_blow_up,
     random_graph,
 )
 from .counting import (
+    _through_root,
     count_containing_pair,
     count_fast,
     count_oracle,
-    count_rooted,
     cycles_through,
     symmetrise,
 )
 from .graph import Graph
 
-EXHAUSTIVE_CEILING = 9
+# most vertex extensions one exhaustive search may score, over all levels
+_WORK_LIMIT = 1 << 22
 _WITNESS_LIMIT = 10
 
 
@@ -45,8 +51,10 @@ class SearchResult:
     lexicographically smallest first.
 
     explored counts the candidates examined: for exhaustive search, the
-    vertex extensions P + v scored, classes(n - 1) * 2^(n - 1); for local
-    search, the move budget.
+    vertex extensions P + v scored over all levels; for local search, the
+    move budget. Exhaustive search also reports its lower bound L, the
+    graph L was counted on, and per level m = k..n the threshold t_m, the
+    classes kept (count >= t_m) and the extensions scored to find them.
     """
 
     n: int
@@ -58,9 +66,12 @@ class SearchResult:
     seed: int | None = None
     budget: int | None = None
     runtime_ms: float = 0.0
+    lower_bound: int | None = None
+    lower_bound_from: str | None = None
+    levels: list[dict] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "n": self.n,
             "k": self.k,
             "best_count": self.best_count,
@@ -71,6 +82,11 @@ class SearchResult:
             "budget": self.budget,
             "runtime_ms": self.runtime_ms,
         }
+        if self.exhaustive:
+            out["lower_bound"] = self.lower_bound
+            out["lower_bound_from"] = self.lower_bound_from
+            out["levels"] = [dict(level) for level in self.levels]
+        return out
 
 
 def _refine(rows, cells: list[int], splitters: list[int]) -> list[int]:
@@ -162,58 +178,101 @@ def _extend(rows, s: int) -> list[int]:
     return [row | v if s >> u & 1 else row for u, row in enumerate(rows)] + [s]
 
 
-# kept for the process's life; the ceiling bounds it at 12,346 classes
-@functools.cache
-def _classes(m: int) -> tuple[tuple[int, ...], ...]:
-    """One canonical representative per isomorphism class of m-vertex
-    graphs, built by extending each (m - 1)-vertex class by a vertex with
-    every neighborhood and deduplicating by certificate."""
-    if m == 1:
-        return ((0,),)
-    return tuple(sorted({
-        _canonical(_extend(rows, s))
-        for rows in _classes(m - 1)
-        for s in range(1 << (m - 1))
-    }))
+def _lower_bound(n: int, k: int) -> tuple[int, str]:
+    """The subset-oracle count of a concrete n-vertex graph, and its name:
+    K_n for k = 3, else the balanced C_k blow-up (for k = 4 that is
+    K_{ceil(n/2),floor(n/2)}). A formula never sets the bound, since a bound
+    above the maximum would prune the maximizers."""
+    if k == 3:
+        name, g = f"K_{n}", complete_graph(n)
+    else:
+        sizes = balanced_part_sizes(n, k)
+        name = f"blow-up of C{k} with parts {','.join(map(str, sizes))}"
+        g = blow_up(cycle(k), sizes)
+    return count_oracle(g, k).total, name
+
+
+def _thresholds(n: int, k: int, bound: int) -> list[int]:
+    """t_k, ..., t_n with t_n = bound and t_{m-1} = ceil(t_m (m - k) / m).
+
+    t_n is raised to at least 1, a count every n >= k reaches (C_k plus
+    isolated vertices), so every t_m is at least 1 and level k holds C_k
+    alone.
+    """
+    t = [max(bound, 1)]
+    for m in range(n, k, -1):
+        t.append(-(-t[-1] * (m - k) // m))
+    return t[::-1]
+
+
+def _cascade(n: int, k: int, thresholds: list[int]) -> list[tuple[dict, int]]:
+    """Per level m = k..n, the classes with count >= t_m, as canonical rows
+    mapped to their counts, and the extensions scored to find them.
+
+    Level m extends every kept class P of level m - 1 by a vertex v with
+    every neighborhood S and scores P + v as count(P) plus the cycles
+    through v, walked with P's own rows and open masks. Every graph with
+    count >= t_m has a vertex whose deletion leaves count >= t_{m-1}, so it
+    is an extension of a kept class. Raises ValueError as soon as the
+    extensions scored so far and those the next level needs pass the work
+    limit.
+    """
+    kept = {_canonical(cycle(k).rows): 1}
+    levels = [(kept, 0)]
+    explored = 0
+    for m in range(k + 1, n + 1):
+        width = 1 << (m - 1)
+        scored = len(kept) * width
+        explored += scored
+        t = thresholds[m - k]
+        grown: dict[tuple[int, ...], int] = {}
+        for rows, base in kept.items():
+            ncl = Graph._trusted(m - 1, rows)._open_masks()
+            for s in range(width):
+                through = _through_root(rows, ncl, s, (width - 1) & ~s, k)
+                if base + through < t:
+                    continue
+                c = _canonical(_extend(rows, s))
+                if c not in grown:
+                    grown[c] = base + through
+                    if m < n and explored + (len(grown) << m) > _WORK_LIMIT:
+                        raise ValueError(
+                            f"exhaustive search for n={n}, k={k} needs more than "
+                            f"{_WORK_LIMIT} vertex extensions"
+                        )
+        kept = grown
+        levels.append((kept, scored))
+    return levels
 
 
 def exhaustive_max(n: int, k: int) -> SearchResult:
-    """Exact maximum induced k-cycle count over all n-vertex graphs (n <= 9).
+    """Exact maximum induced k-cycle count over all n-vertex graphs.
 
-    Every n-vertex graph is isomorphic to P + v for some class representative
-    P on n - 1 vertices and some neighborhood S of the new vertex v, so the
-    maximum of count(P) + count(P + v through v) over all (P, S) is exact.
-    Witnesses are the maximizing classes, one canonical graph6 each, each
-    recounted by the subset oracle and the fast counter.
+    The lower bound L is the oracle count of a concrete n-vertex graph
+    (`_lower_bound`), so L <= I(n) and every maximizing class survives the
+    threshold cascade from t_n = L down to t_k. The search refuses, with
+    ValueError, any n whose levels would score more than 2^22 vertex
+    extensions: at once when the last level alone would (2^(n-1)
+    neighborhoods of one class), else as soon as the kept classes show it.
+    Witnesses are the maximizing classes, one canonical graph6 each, at
+    most 10, each recounted by the subset oracle and the fast counter.
     """
     if not 3 <= k <= n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
-    if n > EXHAUSTIVE_CEILING:
-        raise ValueError(f"exhaustive search needs n <= {EXHAUSTIVE_CEILING}, got n={n}")
+    if 1 << (n - 1) > _WORK_LIMIT:
+        raise ValueError(
+            f"exhaustive search for n={n} needs more than {_WORK_LIMIT} vertex "
+            f"extensions at its last level alone"
+        )
     t0 = time.perf_counter()
-    best = -1
-    best_ext: list[tuple[tuple[int, ...], int]] = []
-    for rows in _classes(n - 1):
-        base = 0
-        if n - 1 >= k:
-            p = Graph(n - 1, rows)
-            base = count_fast(p, k).total if k >= 4 else count_oracle(p, 3).total
-        for s in range(1 << (n - 1)):
-            if k == 3:
-                # triangles through v are the edges inside its neighborhood
-                through = sum((rows[u] & s).bit_count() for u in range(n - 1) if s >> u & 1)
-                through //= 2
-            elif s.bit_count() < 2:
-                through = 0
-            else:
-                through = count_rooted(Graph._trusted(n, _extend(rows, s)), k, n - 1)
-            score = base + through
-            if score > best:
-                best, best_ext = score, []
-            if score == best:
-                best_ext.append((rows, s))
-    classes = {_canonical(_extend(rows, s)) for rows, s in best_ext}
-    witnesses = sorted(io.to_graph6(Graph(n, c)) for c in classes)[:_WITNESS_LIMIT]
+    bound, source = _lower_bound(n, k)
+    thresholds = _thresholds(n, k, bound)
+    levels = _cascade(n, k, thresholds)
+    final = levels[-1][0]
+    best = max(final.values())
+    witnesses = sorted(
+        io.to_graph6(Graph(n, c)) for c, count in final.items() if count == best
+    )[:_WITNESS_LIMIT]
     # independent recount of every stored witness
     for g6 in witnesses:
         g = io.from_graph6(g6)
@@ -221,8 +280,13 @@ def exhaustive_max(n: int, k: int) -> SearchResult:
             raise RuntimeError(f"witness {g6} recount disagrees with search result {best}")
     return SearchResult(
         n=n, k=k, best_count=best, witnesses=witnesses, exhaustive=True,
-        explored=len(_classes(n - 1)) << (n - 1),
+        explored=sum(scored for _, scored in levels),
         runtime_ms=(time.perf_counter() - t0) * 1000,
+        lower_bound=bound, lower_bound_from=source,
+        levels=[
+            {"vertices": m, "threshold": t, "kept": len(kept), "scored": scored}
+            for m, t, (kept, scored) in zip(range(k, n + 1), thresholds, levels)
+        ],
     )
 
 
@@ -268,6 +332,8 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
     if budget < 1:
         raise ValueError("budget must be positive")
+    import numpy as np
+
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 

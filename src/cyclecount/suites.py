@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import analytic
 from .bounds import (
     RATIO_UPPER,
     REL_EPS,
@@ -236,6 +235,8 @@ def headline_suite(ks=(6, 7, 8)) -> dict:
 
 def analytic_suite() -> dict:
     """All scalar optimization verifications at their contract parameters."""
+    from . import analytic
+
     checks = []
 
     def run(name, fn, expect=None):

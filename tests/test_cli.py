@@ -1,10 +1,14 @@
 """CLI behavior: JSON reports on stdout, summaries on stderr, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cyclecount import cli
+from cyclecount import cli, search
 from cyclecount.constructions import petersen, random_graph
 from cyclecount.io import dump_path, to_graph6
 
@@ -90,14 +94,27 @@ def test_count_needs_exactly_one_source(capsys):
 
 
 def test_search_exhaustive(capsys):
-    code, payload, _ = run_cli(capsys, "search", "--n", "6", "--k", "4")
+    code, payload, err = run_cli(capsys, "search", "--n", "6", "--k", "4")
     assert code == 0
-    assert payload["report"]["best_count"] == 9
-    assert payload["report"]["exhaustive"] is True
+    report = payload["report"]
+    assert report["best_count"] == 9
+    assert report["exhaustive"] is True
+    assert report["lower_bound"] == 9
+    assert report["lower_bound_from"] == "blow-up of C4 with parts 2,2,1,1"
+    assert [level["vertices"] for level in report["levels"]] == [4, 5, 6]
+    assert report["explored"] == sum(level["scored"] for level in report["levels"])
+    assert f"(exact; 3 levels, {report['explored']} extensions scored)" in err
 
 
-def test_search_exhaustive_refuses_n_above_ceiling(capsys):
-    code, _, err = run_cli(capsys, "search", "--n", "10", "--k", "4")
+def test_search_exhaustive_refuses_n_above_ceiling(capsys, monkeypatch):
+    # 2^23 neighborhoods at the last level alone pass the work limit, so the
+    # search is refused before it computes a bound or builds a level
+    def no_work(*args):
+        raise AssertionError("refused search did work")
+
+    monkeypatch.setattr(search, "_lower_bound", no_work)
+    monkeypatch.setattr(search, "_cascade", no_work)
+    code, _, err = run_cli(capsys, "search", "--n", "24", "--k", "5")
     assert code == 1
     assert err.startswith("error:")
 
@@ -173,3 +190,13 @@ def test_out_flag_writes_identical_payload(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text()) == payload
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy serves only the seeded generators and the analytic solvers, which
+    # import it when they run
+    code = "import sys, cyclecount.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"

@@ -198,6 +198,21 @@ def test_trusted_constructor_builds_an_equal_immutable_graph():
     assert pickle.loads(pickle.dumps(t)) == g
 
 
+@given(graphs())
+def test_open_masks_are_cached_outside_equality_and_pickling(g):
+    fresh = Graph(g.n, g.rows)
+    masks = g._open_masks()
+    assert masks == tuple(~(row | (1 << v)) for v, row in enumerate(g.rows))
+    assert g._open_masks() is masks
+    # a filled cache changes neither equality, hashing nor the pickle
+    assert g == fresh and hash(g) == hash(fresh)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._open_masks() == masks
+    with pytest.raises(AttributeError):
+        g._open = ()
+
+
 def test_min_degree_vertex_breaks_ties_low():
     g = from_edge_list(4, [(0, 1), (2, 3)])
     assert g.min_degree_vertex() == 0

@@ -1,5 +1,6 @@
 """Exhaustive search over isomorphism classes and stochastic local search."""
 
+import functools
 import os
 from fractions import Fraction
 from math import comb
@@ -10,33 +11,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecount import search
+from cyclecount.bounds import inducibility_bracket
 from cyclecount.constructions import random_graph
 from cyclecount.counting import count_oracle, symmetrise
 from cyclecount.graph import Graph, from_edge_list
 from cyclecount.io import from_graph6
 from cyclecount.search import (
-    _classes,
+    _canonical,
+    _extend,
     _toggle_edge,
     exhaustive_max,
     local_search_max,
     monotonicity_report,
 )
 
+SLOW = os.environ.get("CYCLECOUNT_RUN_SLOW") == "1"
+
 # frozen after the first verified sweep of the full labeled space; the n = 8
-# values were cross-checked against the labeled 2^28 sweep
+# values were cross-checked against the labeled 2^28 sweep, (9, 5) against
+# the sweep of all 12,346 eight-vertex classes, and the other n >= 9 values
+# froze after lowering the search's bound to L - 1 and to L // 2 left them
+# as they were (test_lowered_bound_changes_nothing and its gated variant)
 FROZEN_MAX = {
     (4, 4): 1,
     (5, 4): 3,
     (6, 4): 9,
     (7, 4): 18,
     (8, 4): 36,
+    (9, 4): 60,
+    (10, 4): 100,
+    (12, 4): 225,
     (5, 5): 1,
     (6, 5): 2,
     (7, 5): 4,
     (8, 5): 8,
+    (9, 5): 16,
+    (10, 5): 32,
+    (11, 5): 48,
     (6, 6): 1,
     (7, 6): 2,
+    (10, 6): 16,
+    (11, 6): 32,
+    (12, 6): 64,
     (7, 7): 1,
+    (12, 7): 32,
+    (11, 8): 8,
 }
 
 # (n, k, budget, seed) -> (best_count, witness), frozen from the local search
@@ -57,13 +76,83 @@ def _nx_graph(g6):
     return nx.from_graph6_bytes(g6.encode("ascii"))
 
 
+@functools.cache
+def _all_classes(m: int) -> tuple[tuple[int, ...], ...]:
+    """The full level sweep the search no longer runs: one canonical
+    representative per class of m-vertex graphs, from every (m - 1)-vertex
+    class extended by a vertex with every neighborhood."""
+    if m == 1:
+        return ((0,),)
+    return tuple(sorted({
+        _canonical(_extend(rows, s))
+        for rows in _all_classes(m - 1)
+        for s in range(1 << (m - 1))
+    }))
+
+
+@functools.cache
+def _oracle_counts(m: int, k: int) -> dict[tuple[int, ...], int]:
+    return {rows: count_oracle(Graph(m, rows), k).total for rows in _all_classes(m)}
+
+
+def _assert_levels_add_up(r):
+    # each level scores every neighborhood of every class kept one level down
+    assert r.levels[0]["scored"] == 0
+    for below, level in zip(r.levels, r.levels[1:]):
+        assert level["scored"] == below["kept"] << (level["vertices"] - 1)
+    assert r.explored == sum(level["scored"] for level in r.levels)
+
+
 @pytest.mark.parametrize("n,k", sorted(FROZEN_MAX))
 def test_exhaustive_frozen_values(n, k):
     r = exhaustive_max(n, k)
     assert r.best_count == FROZEN_MAX[(n, k)]
     assert r.exhaustive
-    # every (n - 1)-vertex class extended by every neighborhood of v
-    assert r.explored == CLASS_COUNTS[n - 1] << (n - 1)
+    assert [level["vertices"] for level in r.levels] == list(range(k, n + 1))
+    _assert_levels_add_up(r)
+
+
+def test_cascade_keeps_exactly_the_classes_above_threshold():
+    # the full level sweep, scored by the subset oracle alone, is the
+    # independent side: at every level the cascade must keep exactly the
+    # classes whose oracle count reaches the threshold, with those counts
+    for n in range(3, 8):
+        for k in range(3, n + 1):
+            bound, source = search._lower_bound(n, k)
+            assert source.startswith("K_" if k == 3 else f"blow-up of C{k} ")
+            thresholds = search._thresholds(n, k, bound)
+            assert thresholds[-1] == bound <= max(_oracle_counts(n, k).values())
+            levels = search._cascade(n, k, thresholds)
+            for m, t, (kept, _) in zip(range(k, n + 1), thresholds, levels):
+                want = {rows: c for rows, c in _oracle_counts(m, k).items() if c >= t}
+                assert kept == want, (n, k, m)
+
+
+def _lowered_bound_check(monkeypatch, n, k):
+    reference = exhaustive_max(n, k)
+    real = search._lower_bound
+    for lower in (lambda b: b - 1, lambda b: b // 2):
+        monkeypatch.setattr(
+            search, "_lower_bound", lambda n, k: (lower(real(n, k)[0]), "lowered")
+        )
+        r = exhaustive_max(n, k)
+        assert (r.best_count, r.witnesses) == (reference.best_count, reference.witnesses)
+        assert r.lower_bound < reference.lower_bound
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in (4, 5, 6) for n in range(k, 10)])
+def test_lowered_bound_changes_nothing(monkeypatch, n, k):
+    # any valid bound gives the same answer: L - 1 and L // 2 only keep more
+    _lowered_bound_check(monkeypatch, n, k)
+
+
+@pytest.mark.skipif(not SLOW, reason="minutes per case; set CYCLECOUNT_RUN_SLOW=1")
+@pytest.mark.parametrize("n,k", sorted(nk for nk in FROZEN_MAX if nk[0] >= 10))
+def test_lowered_bound_changes_nothing_gated(monkeypatch, n, k):
+    # L // 2 keeps far more classes than the work limit admits at n >= 11;
+    # the limit guards run time, not exactness, so it is lifted here
+    monkeypatch.setattr(search, "_WORK_LIMIT", 1 << 28)
+    _lowered_bound_check(monkeypatch, n, k)
 
 
 def test_exhaustive_matches_graph_atlas():
@@ -73,7 +162,7 @@ def test_exhaustive_matches_graph_atlas():
     for h in nx.graph_atlas_g()[1:]:
         atlas.setdefault(h.number_of_nodes(), []).append(h)
     for n in range(1, 8):
-        assert len(atlas[n]) == len(_classes(n)) == CLASS_COUNTS[n]
+        assert len(atlas[n]) == len(_all_classes(n)) == CLASS_COUNTS[n]
         graphs = [from_edge_list(n, h.edges()) for h in atlas[n]]
         for k in range(3, n + 1):
             r = exhaustive_max(n, k)
@@ -100,11 +189,22 @@ def test_exhaustive_witnesses_attain_best():
 
 
 def test_exhaustive_refuses_large_n_without_override():
-    # one fixed ceiling, n <= 9, with no override
-    with pytest.raises(ValueError):
-        exhaustive_max(10, 4)
+    # one fixed work limit, 2^22 extensions, with no override: n = 24 needs
+    # 2^23 at its last level alone
+    with pytest.raises(ValueError, match="extensions"):
+        exhaustive_max(24, 5)
     with pytest.raises(ValueError):
         exhaustive_max(5, 6)
+
+
+def test_exhaustive_refuses_once_kept_classes_pass_the_limit(monkeypatch):
+    # a lowered limit is passed mid-cascade: the search stops with the same
+    # clean error instead of building the level it cannot afford
+    monkeypatch.setattr(search, "_WORK_LIMIT", 1 << 12)
+    r = exhaustive_max(8, 5)
+    assert r.explored <= 1 << 12
+    with pytest.raises(ValueError, match="extensions"):
+        exhaustive_max(9, 5)
 
 
 def test_exhaustive_dominates_constructed_candidates():
@@ -130,18 +230,21 @@ def test_exhaustive_dominates_constructed_candidates():
 
 
 def test_monotonicity_of_max_density():
-    rep4 = monotonicity_report(4, 8)
-    assert rep4.monotone, rep4.violations
-    rep5 = monotonicity_report(5, 8)
-    assert rep5.monotone, rep5.violations
-    # every density sits at or above the balanced blow-up feasible point
+    # every density sits at or above the balanced blow-up feasible point and
+    # at or above the limit it decreases to: 3/8 for k = 4 (complete
+    # bipartite graphs), the lower end of the bracket for k >= 5
     from cyclecount.constructions import balanced_part_sizes, blow_up, cycle
     from cyclecount.counting import count_fast
 
-    for rep, k in ((rep4, 4), (rep5, 5)):
+    for k in (4, 5, 6):
+        rep = monotonicity_report(k, 10)
+        assert rep.monotone, rep.violations
+        assert [n for n, _ in rep.densities] == list(range(k, 11))
+        floor = Fraction(3, 8) if k == 4 else inducibility_bracket(k)[0]
         for n, dens in rep.densities:
             feasible = count_fast(blow_up(cycle(k), balanced_part_sizes(n, k)), k)
             assert dens >= Fraction(feasible.total, comb(n, k))
+            assert dens >= floor, (k, n)
 
 
 def test_local_search_reaches_exhaustive_optimum():
@@ -264,12 +367,10 @@ def test_exhaustive_n8_k4():
     assert Fraction(3, 8) <= dens <= Fraction(FROZEN_MAX[(7, 4)], comb(7, 4))
 
 
-@pytest.mark.skipif(
-    os.environ.get("CYCLECOUNT_RUN_SLOW") != "1",
-    reason="about 3 million extensions, minutes; set CYCLECOUNT_RUN_SLOW=1",
-)
-def test_exhaustive_n9_k5_gated():
+def test_exhaustive_n9_k5():
     r = exhaustive_max(9, 5)
     assert r.best_count == 16
-    assert r.explored == CLASS_COUNTS[8] << 8
+    _assert_levels_add_up(r)
+    # the full sweep scored all 12,346 eight-vertex classes at the last level
+    assert r.levels[-1]["scored"] < CLASS_COUNTS[8] << 8
     assert Fraction(r.best_count, comb(9, 5)) <= Fraction(FROZEN_MAX[(8, 5)], comb(8, 5))
