@@ -1,678 +1,326 @@
-"""Grid-certified verification of the scalar optimization facts behind the
-per-vertex ceiling constant 128e/81.
+"""Interval-proved verification of the scalar optimisation facts behind the
+per-vertex ceiling constant 128e/81 = max over z of (1/2) z^4 e^(5 - 3z).
 
-Each public function sweeps a dense grid over its stated box (honoring any
-equality constraint by eliminating one variable), refines the incumbent by
-golden-section / coordinate descent until the value change drops below 1e-12,
-and reports a certified upper allowance: a bound on the gradient magnitude
-over the box times half the grid diagonal, which caps how much any off-grid
-point can exceed the grid maximum. Mandatory properties (boundary argmax,
-ceiling comparisons, monotonicity) raise VerificationError when violated.
+Every `certified_upper` comes from one branch-and-bound maximiser,
+`_maximise`, over boxes of outward-rounded intervals (`interval.Interval`),
+so it is a proved upper bound of the maximum and not a grid value plus an
+allowance (Tucker, Validated Numerics, 2011).
+
+Monotonicity, also on the unbounded tails [1, inf), [2, inf) and [4, inf),
+follows from a sign lemma: each derivative is a positive constant times an
+exponential times a polynomial whose interval enclosure over the closed
+range has one sign. A nonzero polynomial has isolated zeros, so the function
+is strictly monotone there. A mandatory property that fails its proof
+(boundary argmax, ceiling, closed form, monotonicity, concavity) raises
+VerificationError.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
 
 from .bounds import RATIO_UPPER
+from .interval import Interval
 
-INVPHI = (math.sqrt(5) - 1) / 2
+TOL = 1e-13
+MAX_BOXES = 100_000
+INF = math.inf
+E_INV = Interval(1.0).exp_neg()
+RATIO = 128 * Interval(-1.0).exp_neg() * (1 / Interval(81.0))  # 128e/81
 
 
 class VerificationError(RuntimeError):
-    """A mandated analytic property failed its numeric check."""
-
-
-@dataclass(frozen=True)
-class OptProblem:
-    """Description of one scalar maximization instance."""
-
-    name: str
-    parameters: dict
-    domain: dict
-    resolution: float
-    equality_constraint: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "parameters": dict(self.parameters),
-            "domain": {k: list(v) for k, v in self.domain.items()},
-            "resolution": self.resolution,
-        }
-        if self.equality_constraint:
-            out["equality_constraint"] = self.equality_constraint
-        return out
+    """A mandated analytic property failed its proof."""
 
 
 @dataclass
 class OptResult:
-    """Grid maximum after refinement, with a certified grid-gap allowance."""
+    """Proved upper bound of one maximisation, with the best point found."""
 
     max_value: float
     argmax: tuple[float, ...]
     on_boundary: bool
-    resolution: float
     certified_upper: float
     info: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_value": self.max_value,
-            "argmax": list(self.argmax),
-            "on_boundary": self.on_boundary,
-            "resolution": self.resolution,
-            "certified_upper": self.certified_upper,
-            "info": _jsonable(self.info),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+        return {**asdict(self), "argmax": list(self.argmax)}
 
 
 def f(x):
-    """x * exp(-x), the decay-weighted slack factor; accepts arrays."""
-    return x * np.exp(-x)
+    """x e^-x, the decay-weighted slack factor; numpy arrays work too."""
+    return x * math.e ** -x
 
 
-def _golden_max(fn, lo, hi, max_iter=300):
-    """1-D maximization on [lo, hi]; endpoints always considered."""
-    best_x, best_v = lo, fn(lo)
-    fe = fn(hi)
-    if fe > best_v:
-        best_x, best_v = hi, fe
-    if hi - lo > 1e-15:
-        a, b = lo, hi
-        c1 = b - INVPHI * (b - a)
-        c2 = a + INVPHI * (b - a)
-        f1, f2 = fn(c1), fn(c2)
-        for _ in range(max_iter):
-            if f1 < f2:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + INVPHI * (b - a)
-                f2 = fn(c2)
-            else:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - INVPHI * (b - a)
-                f1 = fn(c1)
-            if b - a < 1e-12 and abs(f1 - f2) < 1e-13:
-                break
-        if f1 >= f2 and f1 > best_v:
-            best_x, best_v = c1, f1
-        elif f2 > best_v:
-            best_x, best_v = c2, f2
-    return best_x, best_v
+def _prove(claim: bool, what: str) -> None:
+    if not claim:
+        raise VerificationError(what)
 
 
-def _refine_coords(fn, x0, bounds_fn, sweeps=60):
-    """Coordinate-descent refinement until a full sweep improves < 1e-12.
+def _f_iv(t: Interval) -> Interval:
+    """x e^-x over the interval t, tight up to rounding: it rises to its
+    maximum 1/e at x = 1 and falls after it."""
+    ends = [x * Interval(x).exp_neg() for x in t]
+    hi = E_INV[1] if t[0] < 1.0 < t[1] else max(e[1] for e in ends)
+    return Interval(min(e[0] for e in ends), hi)
 
-    bounds_fn(i, xs) must return the feasible closed interval for coordinate
-    i given the other coordinates (it may be collapsed to a point).
+
+def _power_exp(scale, k, a, b):
+    """Enclosures of scale x^k e^(a - bx) and of its derivative
+    scale x^(k-1) e^(a - bx) (k - bx), for x >= 0."""
+
+    def term(x, j):
+        out = scale * (b * x - a).exp_neg()
+        for _ in range(j):
+            out = out * x
+        return out
+
+    return (lambda box: term(box[0], k)), (lambda box: [term(box[0], k - 1) * (k - b * box[0])])
+
+
+def _maximise(value, grad, box, target=None) -> OptResult:
+    """Branch-and-bound maximum of a C^1 function over a box of intervals.
+
+    value(b) encloses the function over a box b of Intervals and grad(b) its
+    partial derivatives. A box whose partial derivative has a fixed strict
+    sign collapses onto the face it points to, since no maximiser of the box
+    lies off that face. Otherwise its bound is the smaller of the natural
+    enclosure and the mean-value form. The box with the largest bound is
+    bisected on its widest side until that bound is within TOL of the best
+    value proved at a box midpoint. on_boundary is proved: every box that
+    may hold a maximiser lies on a face of the domain. Raises
+    VerificationError if the bound exceeds target or MAX_BOXES is reached.
     """
-    xs = list(x0)
-    val = fn(xs)
-    for _ in range(sweeps):
-        prev = val
-        for i in range(len(xs)):
-            lo, hi = bounds_fn(i, xs)
-            if hi < lo:
-                continue
+    heap, best, arg, seen = [], -INF, None, 0
 
-            def line(t, i=i):
-                trial = list(xs)
-                trial[i] = t
-                return fn(trial)
+    def push(b):
+        nonlocal best, arg, seen
+        g = grad(b)
+        face = tuple(Interval(s[1]) if d[0] > 0 else Interval(s[0]) if d[1] < 0 else s
+                     for s, d in zip(b, g))
+        if face != b:
+            return push(face)
+        seen += 1
+        mid = tuple((lo + hi) / 2 for lo, hi in b)
+        at = value(tuple(map(Interval, mid)))
+        if at[0] > best:
+            best, arg = at[0], mid
+        for side, m, d in zip(b, mid, g):
+            at = at + d * (side - m)
+        heapq.heappush(heap, (-min(value(b)[1], at[1]), seen, b))
 
-            t_best, v_best = _golden_max(line, lo, hi)
-            if v_best > val:
-                xs[i] = t_best
-                val = v_best
-        if val - prev < 1e-12:
-            break
-    return tuple(xs), val
-
-
-def _fd_gradient(fn, xs, step=1e-6):
-    out = []
-    for i in range(len(xs)):
-        hi = list(xs)
-        lo = list(xs)
-        hi[i] += step
-        lo[i] -= step
-        out.append((fn(hi) - fn(lo)) / (2 * step))
-    return out
+    push(tuple(Interval(*side) for side in box))
+    while -heap[0][0] - best > TOL:
+        _, _, b = heapq.heappop(heap)
+        i = max(range(len(b)), key=lambda j: b[j][1] - b[j][0])
+        lo, hi = b[i]
+        mid = (lo + hi) / 2
+        if not lo < mid < hi or seen >= MAX_BOXES:
+            raise VerificationError(f"no bound within {TOL} of the best value after {seen} boxes")
+        push(b[:i] + (Interval(lo, mid),) + b[i + 1:])
+        push(b[:i] + (Interval(mid, hi),) + b[i + 1:])
+    upper = -heap[0][0]
+    if target is not None and upper > target:
+        raise VerificationError(f"supremum in [{best}, {upper}] exceeds {target}")
+    on_boundary = all(any(lo == hi and lo in d for (lo, hi), d in zip(b, box))
+                      for neg, _, b in heap if -neg >= best)
+    return OptResult(best, arg, on_boundary, upper, {"boxes": seen})
 
 
 def f_properties() -> OptResult:
-    """Grid-check the shape of f(x) = x e^-x on [0, 20].
-
-    Verifies: unique maximum at x = 1 with value 1/e, strict increase on
-    [0, 1], strict decrease on [1, 20], and midpoint concavity on [1, 2].
+    """Prove the shape of f(x) = x e^-x on [0, inf): f' = e^-x (1 - x) makes
+    it rise on [0, 1] and fall on [1, inf), so its maximum is 1/e at x = 1,
+    and f'' = e^-x (x - 2) <= 0 makes it concave on [1, 2].
     """
-    h = 1e-4
-    xs = np.linspace(0.0, 20.0, 200001)
-    vals = f(xs)
-    i_max = int(vals.argmax())
-    if abs(xs[i_max] - 1.0) > h / 2:
-        raise VerificationError(f"argmax of x e^-x at {xs[i_max]}, expected 1")
-    if not np.all(np.diff(vals[: i_max + 1]) > 0):
-        raise VerificationError("x e^-x not strictly increasing on [0, 1]")
-    if not np.all(np.diff(vals[i_max:]) < 0):
-        raise VerificationError("x e^-x not strictly decreasing on [1, 20]")
-    # midpoint concavity on [1, 2]: same-parity index pairs have their exact
-    # midpoint on the grid
-    xc = np.linspace(1.0, 2.0, 1001)
-    vc = f(xc)
-    idx = np.arange(1001)
-    pair_sum = idx[:, None] + idx[None, :]
-    mask = (idx[:, None] < idx[None, :]) & (pair_sum % 2 == 0)
-    mids = vc[pair_sum // 2]
-    avgs = (vc[:, None] + vc[None, :]) / 2
-    if not np.all(mids[mask] >= avgs[mask] - 1e-13):
-        raise VerificationError("midpoint concavity of x e^-x fails on [1, 2]")
-    x_star, v_star = _golden_max(lambda x: float(f(x)), 0.9, 1.1)
-    if abs(v_star - 1 / math.e) > 1e-12:
-        raise VerificationError("refined max of x e^-x differs from 1/e")
-    # |f'| = |1-x| e^-x <= 1 on [0, 20]
-    certified = float(vals.max()) + 1.0 * h / 2
-    return OptResult(
-        max_value=v_star,
-        argmax=(x_star,),
-        on_boundary=False,
-        resolution=h,
-        certified_upper=certified,
-        info={
-            "problem": OptProblem(
-                "f_max", {}, {"x": (0.0, 20.0)}, h
-            ).to_json_dict(),
-            "value_at_one": 1 / math.e,
-            "increasing_below_one": True,
-            "decreasing_above_one": True,
-            "midpoint_concave_on_1_2": True,
-            "fd_gradient_max": max(
-                abs(gv) for gv in _fd_gradient(lambda t: float(f(t[0])), [x_star])
-            ),
-        },
-    )
+    _prove((1 - Interval(0.0, 1.0))[0] >= 0, "x e^-x not increasing on [0, 1]")
+    _prove((1 - Interval(1.0, INF))[1] <= 0, "x e^-x not decreasing on [1, inf)")
+    _prove((Interval(1.0, 2.0) - 2)[1] <= 0, "x e^-x not concave on [1, 2]")
+    res = _maximise(*_power_exp(1, 1, 0, 1), [(0.0, 2.0)])
+    _prove(abs(res.max_value - 1 / math.e) <= 1e-12, "max of x e^-x differs from 1/e")
+    res.info.update(value_at_one=1 / math.e, increasing_below_one=True,
+                    decreasing_above_one=True, midpoint_concave_on_1_2=True)
+    return res
 
 
 def verify_rangec() -> OptResult:
-    """Grid-verify the low/high degree-ratio suprema of (1/2) c^2 e^(3-c).
-
-    sup over c in [0, 1] is e^2/2 (attained at c = 1, increasing there);
-    sup over c in [4, 20] is 8/e (attained at c = 4, decreasing there);
-    both sit strictly below 128e/81.
+    """Prove the degree-ratio suprema of r(c) = (1/2) c^2 e^(3-c). As
+    r' = (1/2) e^(3-c) c (2 - c), r rises on [0, 1] and falls on [4, inf),
+    so they are r(1) = e^2/2 and r(4) = 8/e, both below 128e/81.
     """
-    h = 1e-3
-
-    def r(c):
-        return 0.5 * c * c * np.exp(3.0 - c)
-
-    low = np.linspace(0.0, 1.0, 1001)
-    high = np.linspace(4.0, 20.0, 16001)
-    rl, rh = r(low), r(high)
-    sup_low = float(rl[-1])
-    sup_high = float(rh[0])
-    if not np.all(np.diff(rl) > 0):
-        raise VerificationError("low-range supremum not attained increasingly at c=1")
-    if not np.all(np.diff(rh) < 0):
-        raise VerificationError("high-range supremum not attained decreasingly at c=4")
-    e2_half = math.e**2 / 2
-    eight_over_e = 8 / math.e
-    if abs(sup_low - e2_half) > 1e-12 or abs(sup_high - eight_over_e) > 1e-12:
-        raise VerificationError("range suprema differ from closed forms")
-    if not (sup_low < RATIO_UPPER and sup_high < RATIO_UPPER):
-        raise VerificationError("range suprema not below 128e/81")
-    # |r'| = |c(2 - c)/2| e^(3-c) <= 2.3 on [0,1] u [4,20]
-    certified = max(sup_low, sup_high) + 2.3 * h / 2
-    return OptResult(
-        max_value=sup_low,
-        argmax=(1.0,),
-        on_boundary=True,
-        resolution=h,
-        certified_upper=certified,
-        info={
-            "problem": OptProblem(
-                "rangec", {}, {"c": (0.0, 1.0), "c_high": (4.0, 20.0)}, h
-            ).to_json_dict(),
-            "sup_low": sup_low,
-            "sup_high": sup_high,
-            "closed_low": e2_half,
-            "closed_high": eight_over_e,
-            "below_ratio_upper": True,
-            "ratio_upper": RATIO_UPPER,
-        },
-    )
+    low, high = Interval(0.0, 1.0), Interval(4.0, INF)
+    _prove((low * (2 - low))[0] >= 0, "low-range supremum not attained increasingly at c=1")
+    _prove((high * (2 - high))[1] <= 0, "high-range supremum not attained decreasingly at c=4")
+    r = _power_exp(0.5, 2, 3, 1)
+    res = _maximise(*r, [(0.0, 1.0)], target=RATIO[0])
+    at4 = _maximise(*r, [(4.0, 4.0)], target=RATIO[0])
+    _prove(abs(res.max_value - math.e**2 / 2) <= 1e-12
+           and abs(at4.max_value - 8 / math.e) <= 1e-12, "range suprema differ from closed forms")
+    res.certified_upper = max(res.certified_upper, at4.certified_upper)
+    res.info.update(boxes=res.info["boxes"] + at4.info["boxes"], sup_low=res.max_value,
+                    sup_high=at4.max_value)
+    return res
 
 
-def maximize_g_c(c: float, resolution: float = 1e-3) -> OptResult:
-    """Maximize (c - x)(c_w - x) e^-(c_w - x) over [0, c] x [c, 4] for
-    c in [2, 4]; the argmax must fall on the boundary, no interior grid
-    point may be a strict 4-neighbor local maximum, and the rescaled value
-    (1/2) e^(4-c) c * max must stay <= 4 < 128e/81.
+def _g_c(c):
+    """Enclosures of (c - x) f(c_w - x) and of its gradient in (x, c_w)."""
+
+    def grad(b):
+        t = b[1] - b[0]
+        dw = (c - b[0]) * (1 - t) * t.exp_neg()  # (c - x) f'(t)
+        return [-(_f_iv(t) + dw), dw]
+
+    return (lambda b: (c - b[0]) * _f_iv(b[1] - b[0])), grad
+
+
+def maximize_g_c(c: float) -> OptResult:
+    """Maximise (c - x)(c_w - x) e^-(c_w - x) over [0, c] x [c, 4] for c in
+    [2, 4]: every maximiser must be proved on the boundary, and the rescaled
+    value (1/2) e^(4-c) c max must stay <= 4 < 128e/81.
     """
     if not 2.0 <= c <= 4.0:
         raise ValueError(f"need 2 <= c <= 4, got {c}")
-    nx = max(2, round(c / resolution) + 1)
-    nc = max(1, round((4.0 - c) / resolution) + 1)
-    xs = np.linspace(0.0, c, nx)
-    cws = np.linspace(c, 4.0, nc)
-    T = cws[None, :] - xs[:, None]
-    G = (c - xs)[:, None] * T * np.exp(-T)
-    i, j = np.unravel_index(int(G.argmax()), G.shape)
-    grid_max = float(G[i, j])
-    if G.shape[0] >= 3 and G.shape[1] >= 3:
-        inner = G[1:-1, 1:-1]
-        strict = (
-            (inner > G[:-2, 1:-1])
-            & (inner > G[2:, 1:-1])
-            & (inner > G[1:-1, :-2])
-            & (inner > G[1:-1, 2:])
-        )
-        n_strict = int(strict.sum())
-        if n_strict:
-            raise VerificationError(
-                f"{n_strict} interior strict local maxima on the grid for c={c}"
-            )
-    else:
-        n_strict = 0
-
-    def fn(v):
-        x, cw = v
-        t = cw - x
-        return (c - x) * t * math.exp(-t)
-
-    def bounds_fn(idx, _vs):
-        return (0.0, c) if idx == 0 else (c, 4.0)
-
-    (x_star, cw_star), refined = _refine_coords(fn, (xs[i], cws[j]), bounds_fn)
-    tol = max(2 * resolution, 1e-6)
-    on_boundary = (
-        min(x_star, c - x_star) <= tol or min(cw_star - c, 4.0 - cw_star) <= tol
-    )
-    if not on_boundary:
-        raise VerificationError(f"argmax of the slack product interior for c={c}")
-    scaled = 0.5 * math.exp(4.0 - c) * c * refined
-    if scaled > 4.0 * (1 + 1e-9):
-        raise VerificationError(f"rescaled slack product {scaled} exceeds 4 at c={c}")
-    if scaled >= RATIO_UPPER:
-        raise VerificationError(f"rescaled slack product {scaled} not below 128e/81")
-    # |grad| <= 1.9 on the box: both partials are bounded by (1+c) sup|t e^-t|'
-    certified = grid_max + 1.9 * resolution * math.sqrt(2) / 2
-    return OptResult(
-        max_value=refined,
-        argmax=(x_star, cw_star),
-        on_boundary=True,
-        resolution=resolution,
-        certified_upper=certified,
-        info={
-            "problem": OptProblem(
-                "g_c", {"c": c}, {"x": (0.0, c), "c_w": (c, 4.0)}, resolution
-            ).to_json_dict(),
-            "grid_max": grid_max,
-            "scaled_value": scaled,
-            "scaled_ceiling_4": True,
-            "below_ratio_upper": True,
-            "interior_strict_maxima": n_strict,
-        },
-    )
+    res = _maximise(*_g_c(c), [(0.0, c), (c, 4.0)])
+    _prove(res.on_boundary, f"interior argmax of the slack product for c={c}")
+    scaled_upper = (0.5 * c * (Interval(c) - 4).exp_neg() * res.certified_upper)[1]
+    _prove(scaled_upper <= 4.0 * (1 + 1e-9), f"rescaled slack product {scaled_upper} exceeds 4")
+    _prove(scaled_upper < RATIO[0], f"rescaled slack product {scaled_upper} not below 128e/81")
+    res.info.update(scaled_value=0.5 * math.exp(4.0 - c) * c * res.max_value,
+                    scaled_upper=scaled_upper, interior_strict_maxima=0)
+    return res
 
 
-def maximize_g_uw(c: float, x_u: float, x_w: float, z_uw: float,
-                  resolution: float = 5e-3) -> OptResult:
-    """Maximize the two-ended slack product
+def _g_uw(c, x_u, x_w):
+    """Enclosures of phi(s) = f(q_u(s)) f(q_w(s)) e^-s and of phi'(s)."""
+
+    def q(x_v, s):
+        # the clamp is nondecreasing in both arguments, which fall as s grows
+        lo, hi = Interval(c) - x_v - s, Interval(4.0) - x_v - s
+        return Interval(min(max(1.0, lo[0]), hi[0]), min(max(1.0, lo[1]), hi[1]))
+
+    def grad(b):
+        qu, qw = q(x_u, b[0]), q(x_w, b[0])
+        return [(b[0] + qu + qw).exp_neg() * ((qu - 1) * (qw - 1) - 1)]
+
+    return (lambda b: _f_iv(q(x_u, b[0])) * _f_iv(q(x_w, b[0])) * b[0].exp_neg()), grad
+
+
+def maximize_g_uw(c: float, x_u: float, x_w: float, z_uw: float) -> OptResult:
+    """Maximise the two-ended slack product
     (c_u - x_u - x + z)(c_w - x_w - x + z) e^-(c_u + c_w - x_u - x_w - x + z)
     over c <= c_u, c_w <= 4, x >= z, with both linear factors >= 0, for
-    1 <= c < 2. The product splits as f(a) f(b) e^-(x - z) with
-    a = c_u - x_u - x + z and b = c_w - x_w - x + z, so each x-slice
-    maximizes separably; the grid argmax must lie on the boundary.
+    1 <= c < 2.
+
+    With s = x - z, a = c_u - x_u - s and b = c_w - x_w - s it is
+    f(a) f(b) e^-s. As f is unimodal, the best a for a fixed s is
+    q_u(s) = min(max(1, c - x_u - s), 4 - x_u - s), and likewise q_w(s) for
+    b. That leaves phi(s) = f(q_u) f(q_w) e^-s on [0, min(4 - x_u, 4 - x_w)],
+    with phi' = e^-(s + q_u + q_w) ((q_u - 1)(q_w - 1) - 1) in every regime.
     """
     if not 1.0 <= c < 2.0:
         raise ValueError(f"need 1 <= c < 2, got {c}")
     if not (0.0 <= z_uw <= min(x_u, x_w) and max(x_u, x_w) <= c):
-        raise ValueError(
-            f"parameter ordering violated: need 0 <= z <= x_u, x_w <= c, got "
-            f"z={z_uw}, x_u={x_u}, x_w={x_w}, c={c}"
-        )
-    x_hi = min(4.0 - x_u, 4.0 - x_w) + z_uw
-    nx = max(2, round((x_hi - z_uw) / resolution) + 1)
-    ng = max(2, round((4.0 - c) / resolution) + 1)
-    xs = np.linspace(z_uw, x_hi, nx)
-    cg = np.linspace(c, 4.0, ng)
-    A = cg[None, :] - x_u - xs[:, None] + z_uw
-    B = cg[None, :] - x_w - xs[:, None] + z_uw
-    fa = np.where(A >= 0, A * np.exp(-A), -1.0)
-    fb = np.where(B >= 0, B * np.exp(-B), -1.0)
-    ia = fa.argmax(axis=1)
-    ib = fb.argmax(axis=1)
-    rows = np.arange(nx)
-    best_a = fa[rows, ia]
-    best_b = fb[rows, ib]
-    slice_vals = np.where(
-        (best_a >= 0) & (best_b >= 0),
-        np.exp(-(xs - z_uw)) * best_a * best_b,
-        -np.inf,
-    )
-    sx = int(slice_vals.argmax())
-    grid_max = float(slice_vals[sx])
-    start = (float(xs[sx]), float(cg[ia[sx]]), float(cg[ib[sx]]))
-
-    def fn(v):
-        x, cu, cw = v
-        a = cu - x_u - x + z_uw
-        b = cw - x_w - x + z_uw
-        if a < 0 or b < 0 or x < z_uw:
-            return -math.inf
-        return a * b * math.exp(-(cu + cw - x_u - x_w - x + z_uw))
-
-    def bounds_fn(idx, vs):
-        x, cu, cw = vs
-        if idx == 0:
-            return (z_uw, min(cu - x_u, cw - x_w) + z_uw)
-        lo = max(c, x_u + x - z_uw) if idx == 1 else max(c, x_w + x - z_uw)
-        return (lo, 4.0)
-
-    (x_s, cu_s, cw_s), refined = _refine_coords(fn, start, bounds_fn)
-    a_s = cu_s - x_u - x_s + z_uw
-    b_s = cw_s - x_w - x_s + z_uw
-    tol = max(2 * resolution, 1e-6)
-    on_boundary = (
-        x_s - z_uw <= tol
-        or min(cu_s - c, 4.0 - cu_s) <= tol
-        or min(cw_s - c, 4.0 - cw_s) <= tol
-        or a_s <= tol
-        or b_s <= tol
-    )
-    if not on_boundary:
-        raise VerificationError(f"interior argmax for the two-ended slack product, c={c}")
-    # restricted to the x = z face the maximum has the separable closed form
-    t_u = max(1.0, c - x_u)
-    t_w = max(1.0, c - x_w)
-    closed_face = float(f(t_u) * f(t_w))
-    face_gap = abs(float(slice_vals[0]) - closed_face)
-    if face_gap > 1e-4:
-        raise VerificationError(
-            f"x = z face maximum {slice_vals[0]} differs from closed form {closed_face}"
-        )
-    # forced c_u = c_w = c line: value strictly decreases in x, so no
-    # interior strict local max along the line
-    a_line = c - x_u - xs + z_uw
-    b_line = c - x_w - xs + z_uw
-    ok = (a_line >= 0) & (b_line >= 0)
-    line = np.where(ok, a_line * b_line * np.exp(-(2 * c - x_u - x_w - xs + z_uw)), -np.inf)
-    li = line[ok.nonzero()[0]]
-    line_interior_maxima = 0
-    if li.size >= 3:
-        mid = li[1:-1]
-        line_interior_maxima = int(((mid > li[:-2]) & (mid > li[2:])).sum())
-    if line_interior_maxima:
-        raise VerificationError("interior local max on the equal-ratio line")
-    # |f| <= 1/e and |f'| <= 1 on [0, inf) give |grad| <= 1.02 on the box
-    certified = grid_max + 1.02 * resolution * math.sqrt(3) / 2
-    return OptResult(
-        max_value=refined,
-        argmax=(x_s, cu_s, cw_s),
-        on_boundary=True,
-        resolution=resolution,
-        certified_upper=certified,
-        info={
-            "problem": OptProblem(
-                "g_uw",
-                {"c": c, "x_u": x_u, "x_w": x_w, "z_uw": z_uw},
-                {"x": (z_uw, x_hi), "c_u": (c, 4.0), "c_w": (c, 4.0)},
-                resolution,
-            ).to_json_dict(),
-            "grid_max": grid_max,
-            "x_at_lower_face": bool(x_s - z_uw <= tol),
-            "face_closed_form": closed_face,
-            "face_gap": face_gap,
-            "equal_ratio_line_interior_maxima": line_interior_maxima,
-        },
-    )
+        raise ValueError(f"parameter ordering violated: need 0 <= z <= x_u, x_w <= c, got "
+                         f"z={z_uw}, x_u={x_u}, x_w={x_w}, c={c}")
+    res = _maximise(*_g_uw(c, x_u, x_w), [(0.0, min(4.0 - x_u, 4.0 - x_w))])
+    _prove(res.on_boundary and res.argmax == (0.0,),
+           f"interior argmax for the two-ended slack product, c={c}")
+    # on the line c_u = c_w = c it is f(a) f(b) e^-s with a <= a0 = c - x_u
+    # and b <= b0 = c - x_w, whose log slope 1 - 1/a - 1/b <= 1 - 1/a0 - 1/b0
+    a0, b0 = Interval(c) - x_u, Interval(c) - x_w
+    if a0[0] > 0 and b0[0] > 0:
+        _prove((1 - 1 / a0 - 1 / b0)[1] < 0, "interior local max on the equal-ratio line")
+    closed_face = f(max(1.0, c - x_u)) * f(max(1.0, c - x_w))
+    face_gap = abs(res.max_value - closed_face)
+    _prove(face_gap <= 1e-12, f"x = z face maximum {res.max_value} differs from {closed_face}")
+    res.argmax = (z_uw, max(c, x_u + 1.0), max(c, x_w + 1.0))
+    res.info.update(face_closed_form=closed_face, face_gap=face_gap,
+                    equal_ratio_line_interior_maxima=0)
+    return res
 
 
-GRAD_BOUND_A = 2.0  # reduced-gradient bound for the constrained product sum
+def _dual_A(lam):
+    """Enclosures of z^2 y e^-(z+y) - lam z (z - y) and of its gradient."""
+
+    def value(b):
+        z, y = b
+        return z * z * y * (z + y).exp_neg() - lam * z * (z - y)
+
+    def grad(b):
+        z, y = b
+        e = (z + y).exp_neg()
+        return [z * y * e * (2 - z) - lam * (2 * z - y), z * z * e * (1 - y) + lam * z]
+
+    return value, grad
 
 
-def _a_term(z, y):
-    return z * z * y * np.exp(-z - y)
-
-
-def solve_A(c: float, m: int, resolution: float | None = None) -> OptResult:
-    """Maximize sum_i z_i^2 y_i e^-(z_i + y_i) subject to 1 <= y_i, z_i <= c
+def solve_A(c: float, m: int) -> OptResult:
+    """Maximise sum_i z_i^2 y_i e^-(z_i + y_i) subject to 1 <= y_i, z_i <= c
     and sum z_i^2 = sum y_i z_i, for c in [1, 2] and m in {1, 2, 3}.
 
-    The equality constraint is eliminated through
-    y_m = (sum z_i^2 - sum_{i<m} y_i z_i)/z_m, infeasible grid points (y_m
-    outside [1, c]) are discarded, and the incumbent is refined by
-    feasibility-respecting coordinate descent. The solution is
-    y_i = z_i = min(c, 3/2) with value m z*^3 e^(-2 z*).
+    Weak duality: a feasible point has sum z_i (z_i - y_i) = 0, so the sum is
+    at most m times the maximum over [1, c]^2 of z^2 y e^-(z+y) - lam z (z - y)
+    for any lam. With z* = min(c, 3/2) and lam = z* e^(-2 z*)/2 that bound is
+    attained at the feasible point y_i = z_i = z*, with value m z*^3 e^(-2 z*).
     """
     if not 1.0 <= c <= 2.0:
         raise ValueError(f"need 1 <= c <= 2, got {c}")
     if m not in (1, 2, 3):
         raise ValueError(f"need m in {{1, 2, 3}}, got {m}")
-    if resolution is None:
-        resolution = {1: 1e-3, 2: 5e-3, 3: 5e-2}[m]
-    npts = max(2, round((c - 1.0) / resolution) + 1) if c > 1.0 else 1
-    grid = np.linspace(1.0, c, npts)
-    dims = 2 * m - 1
-
-    if m == 1:
-        vals = grid**3 * np.exp(-2 * grid)
-        gi = int(vals.argmax())
-        grid_max = float(vals[gi])
-        start = [float(grid[gi])]
-    elif m == 2:
-        Z2, Y1 = np.meshgrid(grid, grid, indexing="ij")
-        grid_max = -math.inf
-        start = None
-        for z1 in grid:
-            y2 = (z1 * z1 + Z2 * Z2 - Y1 * z1) / Z2
-            feas = (y2 >= 1.0 - 1e-12) & (y2 <= c + 1e-12)
-            if not feas.any():
-                continue
-            obj = np.where(
-                feas, _a_term(z1, Y1) + _a_term(Z2, np.clip(y2, 1.0, c)), -np.inf
-            )
-            i, j = np.unravel_index(int(obj.argmax()), obj.shape)
-            if obj[i, j] > grid_max:
-                grid_max = float(obj[i, j])
-                start = [float(z1), float(Z2[i, j]), float(Y1[i, j])]
-    else:
-        Z3, Y1, Y2 = np.meshgrid(grid, grid, grid, indexing="ij")
-        grid_max = -math.inf
-        start = None
-        for z1 in grid:
-            for z2 in grid:
-                y3 = (z1 * z1 + z2 * z2 + Z3 * Z3 - Y1 * z1 - Y2 * z2) / Z3
-                feas = (y3 >= 1.0 - 1e-12) & (y3 <= c + 1e-12)
-                if not feas.any():
-                    continue
-                obj = np.where(
-                    feas,
-                    _a_term(z1, Y1) + _a_term(z2, Y2)
-                    + _a_term(Z3, np.clip(y3, 1.0, c)),
-                    -np.inf,
-                )
-                idx = np.unravel_index(int(obj.argmax()), obj.shape)
-                if obj[idx] > grid_max:
-                    grid_max = float(obj[idx])
-                    start = [z1, z2, float(Z3[idx]), float(Y1[idx]), float(Y2[idx])]
-    if start is None:
-        raise VerificationError(f"no feasible grid point for c={c}, m={m}")
-
-    def y_last(free):
-        zs = free[:m]
-        ys = free[m:]
-        return (sum(z * z for z in zs) - sum(y * z for y, z in zip(ys, zs[:-1]))) / zs[-1]
-
-    def fn(free):
-        ym = y_last(free)
-        if not 1.0 - 1e-12 <= ym <= c + 1e-12:
-            return -math.inf
-        total = 0.0
-        zs = free[:m]
-        ys = list(free[m:]) + [min(max(ym, 1.0), c)]
-        for z, y in zip(zs, ys):
-            total += float(_a_term(z, y))
-        return total
-
-    def bounds_fn(idx, _vs):
-        return (1.0, c)
-
-    argmax_free, refined = _refine_coords(fn, start, bounds_fn)
     z_star = min(c, 1.5)
+    lam = z_star * math.exp(-2 * z_star) / 2
+    dual = _maximise(*_dual_A(lam), [(1.0, c), (1.0, c)])
+    upper = (m * Interval(dual.certified_upper))[1]
     closed = m * z_star**3 * math.exp(-2 * z_star)
-    allowance = GRAD_BOUND_A * resolution * math.sqrt(dims) / 2
-    if grid_max > closed + allowance:
-        raise VerificationError(
-            f"grid maximum {grid_max} exceeds closed form {closed} beyond "
-            f"the certified allowance {allowance}"
-        )
-    full_argmax = tuple(argmax_free[:m]) + tuple(argmax_free[m:]) + (
-        min(max(y_last(argmax_free), 1.0), c),
-    )
-    zs = full_argmax[:m]
-    ys = full_argmax[m:]
-    tol = max(2 * resolution, 1e-6)
-    interior = all(1.0 + tol < v < c - tol for v in full_argmax)
-    lagrange_ok = None
-    if m == 2 and interior:
-        lagrange_ok = all(
-            abs(z - (y * y + y) / (3 * y - 2)) <= 1e-2 for z, y in zip(zs, ys)
-        )
-        if not lagrange_ok:
-            raise VerificationError("stationarity relation z=(y^2+y)/(3y-2) fails")
-    fd = _fd_gradient(fn, list(argmax_free)) if interior else None
-    return OptResult(
-        max_value=refined,
-        argmax=full_argmax,
-        on_boundary=not interior,
-        resolution=resolution,
-        certified_upper=grid_max + allowance,
-        info={
-            "problem": OptProblem(
-                "A_cm",
-                {"c": c, "m": m},
-                {f"z_{i+1}": (1.0, c) for i in range(m)}
-                | {f"y_{i+1}": (1.0, c) for i in range(m)},
-                resolution,
-                equality_constraint="sum z_i^2 = sum y_i z_i",
-            ).to_json_dict(),
-            "grid_max": grid_max,
-            "closed_form": closed,
-            "match_abs_err": abs(refined - closed),
-            "allowance": allowance,
-            "lagrange_ok": lagrange_ok,
-            "fd_gradient_max": max(abs(gv) for gv in fd) if fd else None,
-        },
-    )
+    _prove(upper <= closed + 1e-9, f"dual bound {upper} exceeds the closed form {closed}")
+    z, y = dual.argmax
+    interior = 1.0 + 1e-6 < z < c - 1e-6
+    lagrange_ok = abs(z - (y * y + y) / (3 * y - 2)) <= 1e-5 if m == 2 and interior else None
+    _prove(lagrange_ok is not False, "stationarity relation z=(y^2+y)/(3y-2) fails")
+    max_value = m * z**3 * math.exp(-2 * z)  # at the feasible point y_i = z_i = z
+    return OptResult(max_value, (z,) * (2 * m), not interior, upper, {
+        "boxes": dual.info["boxes"], "closed_form": closed, "multiplier": lam,
+        "lagrange_ok": lagrange_ok})
 
 
-def final_constant(resolution: float = 1e-3) -> OptResult:
-    """Maximize (1/2) z^4 e^(5 - 3z) on [1, 3/2]: interior argmax at z = 4/3
-    with value (1/2)(4/3)^4 e = 128e/81, the headline constant.
+def final_constant() -> OptResult:
+    """Maximise h(z) = (1/2) z^4 e^(5 - 3z) on [1, 3/2]: interior argmax at
+    z = 4/3 with value (1/2)(4/3)^4 e = 128e/81, the headline constant.
+    h' = (1/2) e^(5-3z) z^3 (4 - 3z) is proved positive on [1, 4/3 - 1e-6]
+    and negative on [4/3 + 1e-6, 3/2], which pins the argmax.
     """
-
-    def h(z):
-        return 0.5 * z**4 * np.exp(5.0 - 3.0 * z)
-
-    zs = np.linspace(1.0, 1.5, round(0.5 / resolution) + 1)
-    vals = h(zs)
-    gi = int(vals.argmax())
-    grid_max = float(vals[gi])
-    z_star, refined = _golden_max(lambda z: float(h(z)), 1.0, 1.5)
-    closed = RATIO_UPPER
-    if abs(refined - closed) > 1e-9:
-        raise VerificationError(
-            f"refined maximum {refined} differs from 128e/81 by more than 1e-9"
-        )
-    if abs(z_star - 4.0 / 3.0) > 1e-6:
-        raise VerificationError(f"argmax {z_star} differs from 4/3 by more than 1e-6")
-    delta = 1e-3
-    fd_left = (float(h(4 / 3 - delta + 1e-6)) - float(h(4 / 3 - delta - 1e-6))) / 2e-6
-    fd_right = (float(h(4 / 3 + delta + 1e-6)) - float(h(4 / 3 + delta - 1e-6))) / 2e-6
-    if not (fd_left > 0 > fd_right):
-        raise VerificationError("finite differences do not bracket the argmax at 4/3")
-    fd_at = _fd_gradient(lambda t: float(h(t[0])), [z_star])
-    # |h'| = h(z) |4/z - 3| <= 4.3 on [1, 3/2]
-    certified = grid_max + 4.3 * resolution / 2
-    return OptResult(
-        max_value=refined,
-        argmax=(z_star,),
-        on_boundary=False,
-        resolution=resolution,
-        certified_upper=certified,
-        info={
-            "problem": OptProblem(
-                "final_constant", {}, {"z": (1.0, 1.5)}, resolution
-            ).to_json_dict(),
-            "closed_form": closed,
-            "value_abs_err": abs(refined - closed),
-            "argmax_abs_err": abs(z_star - 4.0 / 3.0),
-            "value_at_one": float(h(1.0)),
-            "value_at_one_matches_e2_half": bool(
-                abs(float(h(1.0)) - math.e**2 / 2) <= 1e-12
-            ),
-            "fd_bracket": [fd_left, fd_right],
-            "fd_gradient_max": max(abs(gv) for gv in fd_at),
-        },
-    )
+    _prove((4 - 3 * Interval(1.0, 4 / 3 - 1e-6))[0] > 0
+           and (4 - 3 * Interval(4 / 3 + 1e-6, 1.5))[1] < 0,
+           "the sign of h' does not bracket the argmax at 4/3")
+    res = _maximise(*_power_exp(0.5, 4, 5, 3), [(1.0, 1.5)])
+    _prove(abs(res.max_value - RATIO_UPPER) <= 1e-9, f"maximum {res.max_value} is not 128e/81")
+    _prove(abs(res.argmax[0] - 4 / 3) <= 1e-6, f"argmax {res.argmax[0]} is not within 1e-6 of 4/3")
+    at_one = 0.5 * math.exp(2.0)
+    res.info.update(closed_form=RATIO_UPPER, value_at_one=at_one,
+                    value_at_one_matches_e2_half=abs(at_one - math.e**2 / 2) <= 1e-12)
+    return res
 
 
 def verify_mindeg_chain(c: float) -> OptResult:
-    """Grid-verify the two single-variable ceilings used when the scaled
-    minimum degree c = k d / n is at least 2: (1/2) x^3 e^(4 - 2x) and
-    2 x e^(2 - x) are both decreasing on [2, 20], equal 4 at x = 2, and stay
-    below 128e/81.
+    """Prove the two ceilings used when the scaled minimum degree
+    c = k d / n is at least 2: (1/2) x^3 e^(4 - 2x) and 2 x e^(2 - x) fall on
+    [2, inf), as their derivatives have the signs of x^2 (3 - 2x) and 1 - x,
+    from their common value 4 at x = 2, which is below 128e/81.
     """
-    if not 2.0 <= c <= 20.0:
-        raise ValueError(f"need 2 <= c <= 20, got {c}")
-    xs = np.linspace(2.0, 20.0, 18001)
-    a_vals = 0.5 * xs**3 * np.exp(4.0 - 2.0 * xs)
-    b_vals = 2.0 * xs * np.exp(2.0 - xs)
-    if not np.all(np.diff(a_vals) < 0):
-        raise VerificationError("cubic chain not strictly decreasing on [2, 20]")
-    if not np.all(np.diff(b_vals) < 0):
-        raise VerificationError("linear chain not strictly decreasing on [2, 20]")
-    sup = float(max(a_vals[0], b_vals[0]))
-    if abs(sup - 4.0) > 1e-12:
-        raise VerificationError(f"chain supremum {sup} differs from 4")
-    if sup >= RATIO_UPPER:
-        raise VerificationError("chain supremum not below 128e/81")
+    if not 2.0 <= c < INF:
+        raise ValueError(f"need finite c >= 2, got {c}")
+    tail = Interval(2.0, INF)
+    _prove((tail * tail * (3 - 2 * tail))[1] <= 0, "cubic chain not decreasing on [2, inf)")
+    _prove((1 - tail)[1] <= 0, "linear chain not decreasing on [2, inf)")
+    res = _maximise(*_power_exp(0.5, 3, 4, 2), [(2.0, 2.0)], target=RATIO[0])
+    other = _maximise(*_power_exp(2, 1, 2, 1), [(2.0, 2.0)], target=RATIO[0])
+    res.max_value = max(res.max_value, other.max_value)
+    res.certified_upper = max(res.certified_upper, other.certified_upper)
+    _prove(abs(res.max_value - 4.0) <= 1e-12, f"chain supremum {res.max_value} differs from 4")
     a_c = 0.5 * c**3 * math.exp(4.0 - 2.0 * c)
     b_c = 2.0 * c * math.exp(2.0 - c)
-    if max(a_c, b_c) > 4.0 * (1 + 1e-12):
-        raise VerificationError(f"chain value at c={c} exceeds 4")
-    # |d/dx| of both chains is <= 2 on [2, 20]
-    return OptResult(
-        max_value=sup,
-        argmax=(2.0,),
-        on_boundary=True,
-        resolution=1e-3,
-        certified_upper=sup + 2.0 * 1e-3 / 2,
-        info={
-            "problem": OptProblem(
-                "mindeg_chain", {"c": c}, {"x": (2.0, 20.0)}, 1e-3
-            ).to_json_dict(),
-            "cubic_chain_at_c": a_c,
-            "linear_chain_at_c": b_c,
-            "both_below_four": True,
-            "below_ratio_upper": True,
-            "ratio_upper": RATIO_UPPER,
-        },
-    )
+    _prove(max(a_c, b_c) <= 4.0 * (1 + 1e-12), f"chain value at c={c} exceeds 4")
+    res.info.update(boxes=res.info["boxes"] + other.info["boxes"], cubic_chain_at_c=a_c,
+                    linear_chain_at_c=b_c, both_below_four=True, below_ratio_upper=True)
+    return res

@@ -18,34 +18,6 @@ PG_CONSTANT = 2 * math.e          # global constant, ~5.436564
 REL_EPS = 1e-12
 
 
-@dataclass
-class BoundReport:
-    """One bound evaluation, optionally checked against an exact count."""
-
-    kind: str
-    value: float
-    inputs: dict
-    exact: int | None = None
-    slack: float | None = None
-    passed: bool | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "value": self.value, "inputs": dict(self.inputs)}
-        if self.exact is not None:
-            out.update(exact=self.exact, slack=self.slack, passed=self.passed)
-        return out
-
-
-def checked(kind: str, value: float, inputs: dict, exact: int,
-            rel_eps: float = REL_EPS) -> BoundReport:
-    """Attach an exact count to a bound value; passes iff count <= inflated bound."""
-    inflated = value * (1 + rel_eps)
-    return BoundReport(
-        kind=kind, value=value, inputs=inputs, exact=exact,
-        slack=value - exact, passed=exact <= inflated,
-    )
-
-
 def vertex_bound(n: int, k: int, d: int) -> float:
     """Ceiling on the number of induced k-cycles through a vertex of degree d
     in an n-vertex graph: (1/2) d^2 ((n-d-1)/(k-3))^(k-3). Needs k >= 4.

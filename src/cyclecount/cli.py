@@ -3,8 +3,9 @@
 Machine-readable JSON goes to stdout, human-readable summaries to stderr.
 Every run emits a manifest (command, arguments, seed, version, input digest,
 timestamps); with identical arguments the numeric payload is byte-identical
-across runs, timestamps and runtimes aside. Sub-seeds are split from --seed
-with numpy's SeedSequence(seed).spawn, in argument order.
+across runs, timestamps and runtimes aside. --seed goes unchanged to the one
+seeded routine a command runs: `random_graph` for a random construct, or
+`local_search_max`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from fractions import Fraction
 
 from . import __version__, io
 from .constructions import (
-    BlowUpSpec,
+    blow_up,
     complete_bipartite,
     cycle,
+    iterated_blow_up,
     petersen,
     random_graph,
 )
@@ -79,13 +81,12 @@ def parse_construct(spec: str, seed: int | None = None) -> Graph:
             return complete_bipartite(a, b)
         if kind == "blowup" and len(parts) == 3:
             base_k = int(parts[1].removeprefix("C"))
-            t = int(parts[2])
-            return BlowUpSpec(base_k, tuple([t] * base_k)).build()
+            return blow_up(cycle(base_k), [int(parts[2])] * base_k)
         if kind == "iterated-blowup" and len(parts) == 3:
             base_k = int(parts[1].removeprefix("C"))
             if not parts[2].startswith("depth="):
                 raise ValueError
-            return BlowUpSpec(base_k, depth=int(parts[2].removeprefix("depth="))).build()
+            return iterated_blow_up(cycle(base_k), int(parts[2].removeprefix("depth=")))
         if kind == "random" and len(parts) == 2:
             n_text, p_text = parts[1].split(",")
             if seed is None:
@@ -189,7 +190,7 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     manifest = RunManifest(
         "verify", {k: v for k, v in vars(args).items() if k != "func"},
-        args.seed, __version__, _now(),
+        None, __version__, _now(),
     )
     suites = run_suites(args.suite)
     report = {"suites": suites, "passed": all(s["passed"] for s in suites)}
@@ -245,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all",
                           choices=("analytic", "bounds", "identities", "headline", "all"))
-    p_verify.add_argument("--seed", type=int, help="unused; suites are pinned")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -6,19 +6,20 @@ graph on 2-subsets of a 5-set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .graph import Graph, from_edge_list
+from .graph import Graph, _check_order, from_edge_list
 
 
 def cycle(k: int) -> Graph:
     """The k-cycle 0-1-...-(k-1)-0; needs k >= 3."""
     if k < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {k}")
+    _check_order(k)
     return from_edge_list(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, [full & ~(1 << v) for v in range(n)])
 
@@ -27,6 +28,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with side A = 0..a-1 and side B = a..a+b-1."""
     if a < 1 or b < 1:
         raise ValueError("both sides of a complete bipartite graph need a vertex")
+    _check_order(a + b)
     mask_a = (1 << a) - 1
     mask_b = ((1 << (a + b)) - 1) ^ mask_a
     return Graph(a + b, [mask_b] * a + [mask_a] * b)
@@ -60,6 +62,7 @@ def blow_up(base: Graph, part_sizes) -> Graph:
         raise ValueError(f"need {base.n} part sizes, got {len(sizes)}")
     if any(t < 1 for t in sizes):
         raise ValueError("every part needs at least one vertex")
+    _check_order(sum(sizes))
     offsets = [0]
     for t in sizes:
         offsets.append(offsets[-1] + t)
@@ -96,6 +99,7 @@ def iterated_blow_up(base: Graph, depth: int) -> Graph:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not _is_cycle_graph(base):
         raise ValueError("iterated blow-up is defined over a cycle base")
+    _check_order(base.n ** min(depth, 17))  # 3**17 > MAX_VERTICES already
     if depth == 1:
         return base
     sub = iterated_blow_up(base, depth - 1)
@@ -142,8 +146,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     generator family is fixed, so a (n, p, seed) triple names one graph on
     every platform.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_order(n)
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
@@ -174,23 +177,3 @@ def petersen() -> Graph:
         if not set(pairs[i]) & set(pairs[j])
     ]
     return from_edge_list(10, edges)
-
-
-@dataclass(frozen=True)
-class BlowUpSpec:
-    """Declarative recipe for (iterated) blow-ups of a cycle.
-
-    base_k: cycle length of the base. part_sizes: one size per base vertex
-    (ignored when depth > 1, which uses the self-similar balanced layout).
-    """
-
-    base_k: int
-    part_sizes: tuple[int, ...] = ()
-    depth: int = 1
-
-    def build(self) -> Graph:
-        base = cycle(self.base_k)
-        if self.depth > 1:
-            return iterated_blow_up(base, self.depth)
-        sizes = self.part_sizes or tuple([1] * self.base_k)
-        return blow_up(base, sizes)

@@ -32,7 +32,6 @@ Python integers are arbitrary precision, so totals can never overflow.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -280,6 +279,8 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off the import path
+
         blocks = [
             (g, k, range(start, g.n, threads), rooted) for start in range(threads)
         ]

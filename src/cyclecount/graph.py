@@ -1,4 +1,4 @@
-"""Immutable bitset-backed simple graphs and exact rational degree statistics.
+"""Immutable bitset-backed simple graphs and exact codegree counts.
 
 Vertices are dense integers 0..n-1. Each adjacency row is a Python int used
 as a bitset, so neighborhood algebra is plain integer bit arithmetic and
@@ -7,9 +7,14 @@ popcounts, and all derived counts are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 MAX_VERTICES = 1 << 16
+
+
+def _check_order(n: int) -> None:
+    """Refuse a vertex count outside [1, MAX_VERTICES]; constructions call
+    it before they allocate anything of that size."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
 
 
 class Graph:
@@ -26,8 +31,7 @@ class Graph:
     __slots__ = ("n", "rows", "_open")
 
     def __init__(self, n: int, rows) -> None:
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+        _check_order(n)
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
@@ -132,6 +136,7 @@ def from_edge_list(n: int, edges) -> Graph:
 
     Raises ValueError on loops or endpoints outside 0..n-1.
     """
+    _check_order(n)
     rows = [0] * n
     for u, w in edges:
         if u == w:
@@ -141,11 +146,6 @@ def from_edge_list(n: int, edges) -> Graph:
         rows[u] |= 1 << w
         rows[w] |= 1 << u
     return Graph(n, rows)
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, [full & ~row & ~(1 << v) for v, row in enumerate(g.rows)])
 
 
 def codegree(g: Graph, u: int, w: int) -> int:
@@ -175,35 +175,3 @@ def nonadjacent_neighbor_pairs(g: Graph, v: int) -> list[tuple[int, int]]:
             if u != w and not g.has_edge(u, w):
                 out.append((u, w))
     return out
-
-
-class DegreeProfile:
-    """Degree, codegree, and triple-codegree statistics scaled by k/n.
-
-    All values are exact `fractions.Fraction`s: c(v) = k*deg(v)/n, and the
-    pairwise/triple variants scale codegrees the same way. Per-vertex values
-    are precomputed; the pairwise and triple maps are evaluated on demand
-    (pure reads of the immutable graph, hence thread-safe without locks).
-    """
-
-    __slots__ = ("graph", "k", "c")
-
-    def __init__(self, graph: Graph, k: int) -> None:
-        if k < 4:
-            raise ValueError(f"profile needs cycle length k >= 4, got {k}")
-        self.graph = graph
-        self.k = k
-        self.c = {v: Fraction(k * graph.degree(v), graph.n) for v in range(graph.n)}
-
-    def xbar(self, u: int, w: int) -> Fraction:
-        """Scaled codegree k*|N(u) & N(w)|/n."""
-        return Fraction(self.k * codegree(self.graph, u, w), self.graph.n)
-
-    def zbar(self, u: int, v: int, w: int) -> Fraction:
-        """Scaled triple codegree k*|N(u) & N(v) & N(w)|/n."""
-        return Fraction(self.k * triple_codegree(self.graph, u, v, w), self.graph.n)
-
-
-def profile(g: Graph, k: int) -> DegreeProfile:
-    """Exact rational degree statistics of g scaled by k/n (needs k >= 4)."""
-    return DegreeProfile(g, k)

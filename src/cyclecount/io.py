@@ -9,8 +9,6 @@ relabeling map is needed.
 
 from __future__ import annotations
 
-import os
-
 from .graph import Graph, from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -128,19 +126,3 @@ def loads(text: str) -> Graph:
             return from_graph6(stripped)
         return from_edge_list_text(text)
     return from_graph6(stripped)
-
-
-def load_path(path: str | os.PathLike) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
-
-
-def dump_path(g: Graph, path: str | os.PathLike, fmt: str = "graph6") -> None:
-    if fmt == "graph6":
-        text = to_graph6(g) + "\n"
-    elif fmt == "edgelist":
-        text = to_edge_list_text(g)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import analytic
 from .bounds import (
     RATIO_UPPER,
     REL_EPS,
@@ -235,8 +236,6 @@ def headline_suite(ks=(6, 7, 8)) -> dict:
 
 def analytic_suite() -> dict:
     """All scalar optimization verifications at their contract parameters."""
-    from . import analytic
-
     checks = []
 
     def run(name, fn, expect=None):

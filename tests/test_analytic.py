@@ -1,14 +1,30 @@
-"""Grid/refinement verification of the continuous optimization steps."""
+"""Interval branch-and-bound verification of the continuous optimisation
+steps.
 
+The independent side is mpmath: `mpmath.iv` at 300 bits encloses the exact
+result of each interval operation, `mpmath.mp` at 40 digits gives each
+objective value and, through `mp.diff`, each derivative, and dense samples
+of the original (unreduced) objectives bound every maximum from below.
+"""
+
+import itertools
+import json
 import math
+import random
 
 import numpy as np
 import pytest
+from mpmath import iv, mp
 
 from cyclecount.analytic import (
-    OptProblem,
+    RATIO,
     VerificationError,
-    _fd_gradient,
+    _dual_A,
+    _f_iv,
+    _g_c,
+    _g_uw,
+    _maximise,
+    _power_exp,
     f,
     f_properties,
     final_constant,
@@ -19,6 +35,28 @@ from cyclecount.analytic import (
     verify_rangec,
 )
 from cyclecount.bounds import RATIO_UPPER
+from cyclecount.interval import Interval
+
+INF = math.inf
+G_UW_PARAMS = [(1.0, 0.0, 0.0, 0.0), (1.5, 0.0, 0.0, 0.0), (1.9, 0.3, 0.2, 0.1),
+               (1.2, 1.0, 0.5, 0.25)]
+LAM = 1.5 * math.exp(-3.0) / 2  # the multiplier solve_A uses when c >= 3/2
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision():
+    """iv at 300 bits and mp at 40 digits for each test, restored after."""
+    saved = iv.prec, mp.prec
+    iv.prec, mp.dps = 300, 40
+    yield
+    iv.prec, mp.prec = saved
+
+
+def contains(enclosure, value) -> bool:
+    """Whether the float pair enclosure holds value, an mpmath.iv interval
+    or an mpf."""
+    lo, hi = (value.a, value.b) if hasattr(value, "a") else (value, value)
+    return enclosure[0] <= lo and hi <= enclosure[1]
 
 
 def test_f_shape():
@@ -110,9 +148,15 @@ def test_solve_A_closed_form(c, m):
 
 
 def test_solve_A_m3():
-    r = solve_A(2.0, 3, resolution=5e-2)
+    r = solve_A(2.0, 3)
     want = 3 * 1.5**3 * math.exp(-3.0)
     assert abs(r.max_value - want) <= 1e-2
+
+
+def _primal_m2(z1, z2, y1):
+    """sum_i z_i^2 y_i e^-(z_i + y_i) with y_2 eliminated by the constraint."""
+    y2 = (z1 * z1 + z2 * z2 - y1 * z1) / z2
+    return sum(z * z * y * mp.exp(-z - y) for z, y in ((z1, y1), (z2, y2)))
 
 
 def test_solve_A_lagrange_relation():
@@ -122,7 +166,11 @@ def test_solve_A_lagrange_relation():
     z, y = r.argmax[0], r.argmax[2]
     assert abs(z - (y * y + y) / (3 * y - 2)) <= 1e-2
     assert r.info["lagrange_ok"]
-    assert r.info["fd_gradient_max"] <= 1e-5
+    # the primal with y_2 eliminated is stationary at (z_1, z_2, y_1)
+    point = r.argmax[:3]
+    for i in range(3):
+        order = tuple(int(j == i) for j in range(3))
+        assert abs(mp.diff(_primal_m2, point, order)) <= 1e-5
 
 
 def test_solve_A_validates():
@@ -139,10 +187,13 @@ def test_final_constant():
     assert not r.on_boundary
     assert r.info["value_at_one"] == pytest.approx(math.e**2 / 2, abs=1e-9)
     assert r.info["value_at_one_matches_e2_half"]
-    # derivative changes sign across the optimum
-    left, right = r.info["fd_bracket"]
-    assert left > 0 > right
-    assert r.info["fd_gradient_max"] <= 1e-5
+
+    # derivative changes sign across the optimum and vanishes at the argmax
+    def h(z):
+        return z**4 * mp.exp(5 - 3 * z) / 2
+
+    assert mp.diff(h, 4 / 3 - 1e-3) > 0 > mp.diff(h, 4 / 3 + 1e-3)
+    assert abs(mp.diff(h, r.argmax[0])) <= 1e-5
 
 
 @pytest.mark.parametrize("c", [2.0, 3.0, 5.0])
@@ -166,26 +217,209 @@ def test_mindeg_chain_values_and_decrease():
     assert at3.info["linear_chain_at_c"] == pytest.approx(6 / math.e, abs=1e-12)
 
 
-def test_fd_gradient_matches_analytic():
-    def func(xy):
-        return xy[0] ** 2 * math.exp(-xy[1])
-
-    g = _fd_gradient(func, [1.5, 0.5])
-    assert g[0] == pytest.approx(2 * 1.5 * math.exp(-0.5), abs=1e-5)
-    assert g[1] == pytest.approx(-(1.5**2) * math.exp(-0.5), abs=1e-5)
-
-
 def test_opt_result_json():
     r = solve_A(1.5, 2)
     d = r.to_json_dict()
     assert isinstance(d["max_value"], float)
     assert all(isinstance(x, float) for x in d["argmax"])
-    import json
-
     json.dumps(d)
-    p = OptProblem("demo", {"c": 1.5}, {"x": (0.0, 1.0)}, 1e-3)
-    json.dumps(p.to_json_dict())
 
 
 def test_verification_error_is_runtime_error():
     assert issubclass(VerificationError, RuntimeError)
+
+
+# --- the interval arithmetic and the maximiser, against mpmath -------------
+
+def _random_interval(rng):
+    """Ends drawn from zeros, infinities and random floats; a third are
+    points."""
+    def end(infinite):
+        pick = rng.random()
+        return 0.0 if pick < 0.15 else infinite if pick < 0.3 else rng.uniform(-6, 6)
+
+    a, b = sorted((end(-INF), end(INF)))
+    if rng.random() < 0.3:
+        a = b = next((e for e in (a, b) if math.isfinite(e)), 0.0)
+    return a, b
+
+
+def _iv(x):
+    """x as an mpmath.iv interval with each infinite end moved to +-2^2000,
+    beyond every float: mpmath takes 0 * inf as undefined and widens such a
+    product to the whole line, while over the reals it is 0."""
+    return iv.mpf([e if math.isfinite(e) else math.copysign(1, e) * mp.mpf(2) ** 2000
+                   for e in x])
+
+
+def test_interval_operations_enclose_mpmath():
+    rng = random.Random(7)
+    ops = [
+        (lambda a, b: a + b, lambda a, b: a + b),
+        (lambda a, b: a - b, lambda a, b: a - b),
+        (lambda a, b: -a, lambda a, b: -a),
+        (lambda a, b: a * b, lambda a, b: a * b),
+        (lambda a, b: 2.5 - a, lambda a, b: 2.5 - a),
+        (lambda a, b: 0.7 * a + 1, lambda a, b: iv.mpf(0.7) * a + 1),
+        (lambda a, b: a.exp_neg(), lambda a, b: iv.exp(-a)),
+    ]
+    for _ in range(1000):
+        x, y = _random_interval(rng), _random_interval(rng)
+        for ours, theirs in ops:
+            got = ours(Interval(*x), Interval(*y))
+            assert contains(got, theirs(_iv(x), _iv(y))), (x, y, got)
+        if x[0] > 0:
+            assert contains(3 / Interval(*x), 3 / _iv(x)), x
+    # exact zeros and unbounded tails, as the sign lemmas use them
+    assert 1 - Interval(1.0, INF) == (-INF, 0.0)
+    assert (1 - Interval(0.0, 1.0))[0] == 0.0
+    assert Interval(0.0, INF) * Interval(0.0) == (0.0, 0.0)
+    assert Interval(2.0, INF).exp_neg()[0] == 0.0
+    assert Interval(-1000.0, 0.0).exp_neg()[1] == INF  # e^1000 overflows a float
+    with pytest.raises(ValueError):
+        1 / Interval(-1.0, 1.0)
+
+
+def _power(scale, k, a, b):
+    return lambda x: scale * x**k * mp.exp(a - b * x)
+
+
+def _objectives():
+    """(name, value enclosure, gradient enclosure, domain, mp function)."""
+    out = [
+        (f"power_exp{p}", *_power_exp(*p), dom, _power(*p))
+        for p, dom in [((1, 1, 0, 1), [(0.0, 3.0)]), ((0.5, 2, 3, 1), [(0.0, 5.0)]),
+                       ((0.5, 4, 5, 3), [(1.0, 1.5)]), ((0.5, 3, 4, 2), [(2.0, 6.0)]),
+                       ((2, 1, 2, 1), [(2.0, 6.0)])]
+    ]
+    out.append(("f_iv", lambda b: _f_iv(b[0]), lambda b: [], [(0.0, 4.0)],
+                lambda x: x * mp.exp(-x)))
+    for c in (2.0, 2.5, 4.0):
+        out.append((f"g_c({c})", *_g_c(c), [(0.0, c), (c, 4.0)],
+                    lambda x, w, c=c: (c - x) * (w - x) * mp.exp(x - w)))
+    for c, xu, xw, _ in G_UW_PARAMS:
+        def phi(s, c=c, xu=xu, xw=xw):
+            qu, qw = (min(max(1, c - xv - s), 4 - xv - s) for xv in (xu, xw))
+            return qu * qw * mp.exp(-qu - qw - s)
+
+        out.append((f"g_uw{c, xu, xw}", *_g_uw(c, xu, xw),
+                    [(0.0, min(4 - xu, 4 - xw))], phi))
+    out.append(("dual_A", *_dual_A(LAM), [(1.0, 2.0), (1.0, 2.0)],
+                lambda z, y: z * z * y * mp.exp(-z - y) - LAM * z * (z - y)))
+    return out
+
+
+@pytest.mark.parametrize("name,value,grad,domain,mp_fn", _objectives(),
+                         ids=[o[0] for o in _objectives()])
+def test_value_and_gradient_enclosures_contain_mpmath(name, value, grad, domain, mp_fn):
+    rng = random.Random(name)
+    for _ in range(40):
+        box = []
+        for lo, hi in domain:
+            a, b = sorted(rng.uniform(lo, hi) for _ in range(2))
+            box.append(Interval(a, a if rng.random() < 0.3 else b))
+        box = tuple(box)
+        enclosure, slopes = value(box), grad(box)
+        points = list(itertools.product(*box))
+        points += [tuple(rng.uniform(lo, hi) for lo, hi in box) for _ in range(3)]
+        for p in points:
+            assert contains(enclosure, mp_fn(*map(mp.mpf, p))), (name, box, p)
+            for i, slope in enumerate(slopes):
+                order = tuple(int(j == i) for j in range(len(p)))
+                assert contains(slope, mp.diff(mp_fn, p, order)), (name, box, p, i)
+
+
+def _grid(lo, hi, n):
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _dense_max(fn, *axes):
+    return max(fn(*map(mp.mpf, p)) for p in itertools.product(*axes))
+
+
+def _g_uw_original_max(c, xu, xw, z):
+    """The two-ended slack product on a grid of the original (x, c_u, c_w),
+    including the maximiser (z, max(c, x_u + 1), max(c, x_w + 1))."""
+
+    def value(x, cu, cw):
+        a, b = cu - xu - x + z, cw - xw - x + z
+        if a < 0 or b < 0:
+            return mp.mpf("-inf")
+        return a * b * mp.exp(-(cu + cw - xu - xw - x + z))
+
+    x_hi = min(4 - xu, 4 - xw) + z
+    cs = _grid(c, 4, 21) + [max(c, xu + 1), max(c, xw + 1)]
+    return _dense_max(value, _grid(z, x_hi, 21), cs, cs)
+
+
+def _primal_feasible_max(c, m):
+    """The product sum at the feasible grid points, y_m eliminated."""
+    if m == 1:  # z^2 = y z forces y = z
+        return _dense_max(lambda z: z**3 * mp.exp(-2 * z), _grid(1, c, 401))
+
+    def feasible(z1, z2, y1):
+        y2 = (z1 * z1 + z2 * z2 - y1 * z1) / z2
+        return _primal_m2(z1, z2, y1) if 1 <= y2 <= c else mp.mpf("-inf")
+
+    return _dense_max(feasible, *[_grid(1, c, 21)] * 3)
+
+
+def _dense_cases():
+    cases = [
+        (f_properties, lambda: _dense_max(lambda x: x * mp.exp(-x), _grid(0, 20, 2001))),
+        (verify_rangec, lambda: _dense_max(lambda c: c * c * mp.exp(3 - c) / 2,
+                                           _grid(0, 1, 101) + _grid(4, 20, 1601))),
+        (final_constant, lambda: _dense_max(_power(0.5, 4, 5, 3), _grid(1, 1.5, 501))),
+        (lambda: verify_mindeg_chain(2.0),
+         lambda: max(_dense_max(_power(0.5, 3, 4, 2), _grid(2, 30, 281)),
+                     _dense_max(_power(2, 1, 2, 1), _grid(2, 30, 281)))),
+    ]
+    for c in (2.0, 2.5, 3.0, 4.0):
+        cases.append((lambda c=c: maximize_g_c(c), lambda c=c: _dense_max(
+            lambda x, w: (c - x) * (w - x) * mp.exp(x - w), _grid(0, c, 81), _grid(c, 4, 41))))
+    for params in G_UW_PARAMS:
+        cases.append((lambda p=params: maximize_g_uw(*p),
+                      lambda p=params: _g_uw_original_max(*p)))
+    for c in (1.2, 1.5, 2.0):
+        for m in (1, 2):
+            cases.append((lambda c=c, m=m: solve_A(c, m),
+                          lambda c=c, m=m: _primal_feasible_max(c, m)))
+    return cases
+
+
+@pytest.mark.parametrize("solve,sample", _dense_cases())
+def test_certified_upper_dominates_a_dense_mpmath_sample(solve, sample):
+    r = solve()
+    best = sample()
+    assert best <= r.certified_upper
+    # and the bound is tight: the best value found is the sampled maximum
+    assert r.max_value >= best - 1e-12
+    assert r.certified_upper - r.max_value <= 1e-12
+
+
+def test_target_below_a_known_maximum_raises():
+    h = _power_exp(0.5, 4, 5, 3)
+    with pytest.raises(VerificationError, match="exceeds"):
+        _maximise(*h, [(1.0, 1.5)], target=RATIO_UPPER - 1e-6)
+    assert _maximise(*h, [(1.0, 1.5)], target=RATIO_UPPER + 1e-9).certified_upper >= RATIO[0]
+    with pytest.raises(VerificationError, match="exceeds"):
+        _maximise(*_g_c(2.0), [(0.0, 2.0), (2.0, 4.0)], target=4 * math.exp(-2) - 1e-6)
+
+
+def test_maximiser_proves_where_the_maximum_lies():
+    interior = _maximise(*_dual_A(LAM), [(1.0, 2.0), (1.0, 2.0)])
+    assert not interior.on_boundary and interior.info["boxes"] > 1
+    assert interior.argmax == pytest.approx((1.5, 1.5), abs=1e-5)
+    # a strictly falling function collapses onto its left end in one step
+    falling = _maximise(*_power_exp(2, 1, 2, 1), [(2.0, 30.0)])
+    assert falling.on_boundary and falling.argmax == (2.0,)
+    assert falling.info["boxes"] == 1
+
+
+def test_monotone_claims_hold_on_unbounded_tails():
+    # the chain ceilings are proved on [2, inf), so any finite c >= 2 passes
+    far = verify_mindeg_chain(1e6)
+    assert far.info["cubic_chain_at_c"] == 0.0 and far.info["linear_chain_at_c"] == 0.0
+    with pytest.raises(ValueError):
+        verify_mindeg_chain(INF)
+    assert verify_rangec().info["sup_high"] == pytest.approx(8 / math.e, abs=1e-12)

@@ -12,7 +12,6 @@ from cyclecount.bounds import (
     RATIO_UPPER,
     REL_EPS,
     cherry_bound,
-    checked,
     density_sequence,
     edge_bound,
     global_pg_bound,
@@ -155,14 +154,6 @@ def test_inducibility_bracket():
     assert math.isclose(ratio / (1 - 10 ** (1 - 10)), RATIO_UPPER, rel_tol=1e-9)
     with pytest.raises(ValueError):
         inducibility_bracket(4)
-
-
-def test_checked_report():
-    ok = checked("vertex", 10.0, {"n": 9}, 10)
-    assert ok.passed and ok.to_json_dict()["exact"] == 10
-    assert not checked("vertex", 10.0, {"n": 9}, 11).passed
-    # epsilon inflation saves exact == float bound off-by-ulp cases
-    assert checked("global", 10.0, {}, 10, rel_eps=1e-12).passed
 
 
 def test_density_sequence():

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from cyclecount import cli, search
+import numpy as np
+
+from cyclecount import cli, constructions, search
 from cyclecount.constructions import petersen, random_graph
-from cyclecount.io import dump_path, to_graph6
+from cyclecount.io import to_graph6
 
 
 def run_cli(capsys, *argv):
@@ -48,7 +50,7 @@ def test_count_check_mode_agrees(capsys):
 
 def test_count_from_file_records_digest(capsys, tmp_path):
     path = tmp_path / "pet.g6"
-    dump_path(petersen(), str(path))
+    path.write_text(to_graph6(petersen()) + "\n", encoding="ascii")
     code, payload, _ = run_cli(capsys, "count", "--input", str(path), "--k", "5")
     assert code == 0
     assert payload["report"]["total"] == 12
@@ -167,6 +169,40 @@ def test_parse_construct_specs():
         cli.parse_construct("blowup:C5")
     with pytest.raises(ValueError):
         cli.parse_construct("iterated-blowup:C5:m=2")
+    with pytest.raises(ValueError, match="depth"):
+        cli.parse_construct("iterated-blowup:C5:depth=0")
+
+
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_iterated_blowup_below_depth_one_is_an_error(capsys, depth):
+    # depth < 1 used to fall back to the base cycle and exit 0
+    code, payload, err = run_cli(
+        capsys, "construct", "--construct", f"iterated-blowup:C5:depth={depth}"
+    )
+    assert code == 1 and payload is None
+    assert "error:" in err and "depth" in err
+
+
+def test_oversize_constructs_are_refused_before_allocating(capsys, monkeypatch):
+    class NoDraws:
+        def __init__(self, *args):
+            pass
+
+        def random(self, size):
+            raise AssertionError(f"asked for {size} draws")
+
+    def no_graph(n, rows):
+        raise AssertionError(f"built a {n}-vertex level")
+
+    monkeypatch.setattr(np.random, "Generator", NoDraws)
+    monkeypatch.setattr(constructions, "Graph", no_graph)
+    for spec in ("random:70000,0.5", "iterated-blowup:C5:depth=7", "blowup:C5:20000",
+                 "cycle:70000", "kbipartite:40000,40000"):
+        code, payload, err = run_cli(
+            capsys, "count", "--construct", spec, "--k", "5", "--seed", "1"
+        )
+        assert code == 1 and payload is None
+        assert "error: vertex count" in err
 
 
 def test_reports_are_deterministic(capsys):
@@ -193,10 +229,11 @@ def test_out_flag_writes_identical_payload(capsys, tmp_path):
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy serves only the seeded generators and the analytic solvers, which
-    # import it when they run
-    code = "import sys, cyclecount.cli; print('numpy' in sys.modules)"
+    # numpy serves only the seeded generators, and concurrent.futures only the
+    # threads > 1 pool of count_fast; each is imported when it runs
+    code = ("import sys, cyclecount.cli; "
+            "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from cyclecount.constructions import (
-    BlowUpSpec,
     balanced_part_sizes,
     blow_up,
     complete_bipartite,
@@ -150,9 +149,11 @@ def test_petersen_shape():
 
 
 def test_blowup_spec():
-    spec = BlowUpSpec(5, (2, 2, 2, 2, 2))
-    assert count_fast(spec.build(), 5).total == 32
-    deep = BlowUpSpec(5, depth=2)
-    assert deep.build().n == 25
+    # the blowup:CK:t and iterated-blowup:CK:depth=M specs call these directly
+    assert count_fast(blow_up(cycle(5), (2,) * 5), 5).total == 32
+    assert iterated_blow_up(cycle(5), 2).n == 25
     with pytest.raises(ValueError):
-        BlowUpSpec(5, (1, 1)).build()
+        blow_up(cycle(5), (1, 1))
+    for depth in (0, -2):
+        with pytest.raises(ValueError, match="depth"):
+            iterated_blow_up(cycle(5), depth)

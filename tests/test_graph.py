@@ -2,20 +2,16 @@
 
 import itertools
 import pickle
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclecount.graph import (
-    DegreeProfile,
     Graph,
     codegree,
-    complement,
     from_edge_list,
     nonadjacent_neighbor_pairs,
-    profile,
     triple_codegree,
 )
 
@@ -32,18 +28,6 @@ def graphs(draw, max_n=12):
 @given(graphs())
 def test_degree_sum_is_twice_edge_count(g):
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.num_edges
-
-
-@given(graphs())
-def test_complement_is_involution(g):
-    assert complement(complement(g)) == g
-
-
-@given(graphs())
-def test_complement_degrees(g):
-    h = complement(g)
-    for v in range(g.n):
-        assert g.degree(v) + h.degree(v) == g.n - 1
 
 
 @given(graphs())
@@ -83,16 +67,6 @@ def test_nonadjacent_neighbor_pairs_are_cherries(g):
         assert set(pairs) == {(w, u) for u, w in pairs}
 
 
-@given(graphs(max_n=10), st.integers(min_value=4, max_value=8))
-def test_profile_cross_multiplication(g, k):
-    prof = profile(g, k)
-    assert isinstance(prof, DegreeProfile)
-    for v in range(g.n):
-        # c_v = k d_v / n as an exact rational
-        assert prof.c[v] * g.n == k * g.degree(v)
-        assert isinstance(prof.c[v], Fraction)
-
-
 def test_codegree_worked_examples():
     from cyclecount.constructions import complete_graph, cycle
 
@@ -111,49 +85,6 @@ def test_codegree_worked_examples():
     assert len(nonadjacent_neighbor_pairs(star, 0)) == 6
     assert nonadjacent_neighbor_pairs(complete_graph(4), 0) == []
     assert len(nonadjacent_neighbor_pairs(cycle(5), 2)) == 2
-
-
-def test_profile_worked_examples():
-    from cyclecount.constructions import complete_bipartite, cycle
-
-    assert profile(cycle(5), 5).c == {v: Fraction(2) for v in range(5)}
-    assert profile(complete_bipartite(3, 3), 6).c == {v: Fraction(3) for v in range(6)}
-    empty = from_edge_list(4, [])
-    assert profile(empty, 4).c == {v: Fraction(0) for v in range(4)}
-
-
-@given(graphs(max_n=9), st.integers(min_value=4, max_value=7))
-def test_profile_ordering_chain(g, k):
-    # 0 <= zbar <= xbar <= min(c_u, c_w) <= k on every triple
-    prof = profile(g, k)
-    for u, v, w in itertools.combinations(range(g.n), 3):
-        zb = prof.zbar(u, v, w)
-        xb = prof.xbar(u, w)
-        assert 0 <= zb <= xb <= min(prof.c[u], prof.c[w]) <= k
-
-
-def test_profile_xbar_zbar():
-    g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2)])
-    prof = profile(g, 5)
-    assert prof.xbar(0, 1) == Fraction(5 * codegree(g, 0, 1), 5)
-    assert prof.zbar(0, 1, 2) == Fraction(5 * triple_codegree(g, 0, 1, 2), 5)
-
-
-def test_complement_of_c5_is_c5_shaped():
-    # the 5-cycle is self-complementary up to relabeling
-    from cyclecount.constructions import cycle
-
-    c5 = cycle(5)
-    h = complement(c5)
-    found = False
-    for perm in itertools.permutations(range(5)):
-        relabeled = from_edge_list(
-            5, [(perm[u], perm[w]) for u, w in h.edges()]
-        )
-        if relabeled == c5:
-            found = True
-            break
-    assert found
 
 
 def test_constructor_rejects_bad_input():
@@ -217,9 +148,3 @@ def test_min_degree_vertex_breaks_ties_low():
     g = from_edge_list(4, [(0, 1), (2, 3)])
     assert g.min_degree_vertex() == 0
     assert g.degree_sequence() == [1, 1, 1, 1]
-
-
-def test_profile_requires_k_at_least_4():
-    g = from_edge_list(4, [(0, 1)])
-    with pytest.raises(ValueError):
-        profile(g, 3)

@@ -82,13 +82,3 @@ def test_edge_list_rejects_count_mismatch():
 def test_loads_autodetects_both_formats(g):
     assert io.loads(io.to_graph6(g)) == g
     assert io.loads(io.to_edge_list_text(g)) == g
-
-
-def test_dump_and_load_path(tmp_path):
-    g = petersen()
-    for fmt in ("graph6", "edgelist"):
-        path = tmp_path / f"pet.{fmt}"
-        io.dump_path(g, str(path), fmt=fmt)
-        assert io.load_path(str(path)) == g
-    with pytest.raises(ValueError):
-        io.dump_path(g, str(tmp_path / "x"), fmt="dot")
