@@ -108,14 +108,6 @@ class DensityReport:
     def monotone(self) -> bool:
         return not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "densities": [[n, str(d)] for n, d in self.densities],
-            "violations": list(self.violations),
-            "monotone": self.monotone,
-        }
-
 
 def density_sequence(k: int, counts_by_n: dict[int, int]) -> DensityReport:
     """Exact rational densities for consecutive n; flags every n whose

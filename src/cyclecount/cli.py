@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, io
@@ -31,28 +30,6 @@ from .counting import count_fast, count_oracle, count_rooted
 from .graph import Graph
 from .search import exhaustive_max, local_search_max
 from .suites import run_suites
-
-
-@dataclass
-class RunManifest:
-    command: str
-    args: dict
-    seed: int | None
-    version: str
-    started_at: str
-    finished_at: str = ""
-    input_digest: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "args": self.args,
-            "seed": self.seed,
-            "version": self.version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "input_digest": self.input_digest,
-        }
 
 
 def _now() -> str:
@@ -107,10 +84,10 @@ def _load_input(path: str) -> tuple[Graph, dict]:
     return io.loads(raw.decode("ascii")), digest
 
 
-def _emit(manifest: RunManifest, report: dict, out_path: str | None) -> None:
-    manifest.finished_at = _now()
+def _emit(manifest: dict, report: dict, out_path: str | None) -> None:
+    manifest["finished_at"] = _now()
     payload = json.dumps(
-        {"manifest": manifest.to_json_dict(), "report": report},
+        {"manifest": manifest, "report": report},
         indent=2, sort_keys=True,
     )
     print(payload)
@@ -127,27 +104,20 @@ def _get_graph(args, seed: int | None) -> tuple[Graph, dict]:
     return parse_construct(args.construct, seed), {}
 
 
-def cmd_count(args) -> int:
-    manifest = RunManifest(
-        "count", {k: v for k, v in vars(args).items() if k != "func"},
-        args.seed, __version__, _now(),
-    )
-    g, digest = _get_graph(args, args.seed)
-    manifest.input_digest = digest
+def cmd_count(args, manifest: dict) -> int:
+    g, manifest["input_digest"] = _get_graph(args, args.seed)
     t0 = time.perf_counter()
+    every_root = args.roots == "all"
     if args.mode == "oracle":
-        report = count_oracle(g, args.k)
+        report = count_oracle(g, args.k, rooted=every_root)
     else:
-        report = count_fast(g, args.k, rooted=args.roots == "all", threads=args.threads)
+        report = count_fast(g, args.k, rooted=every_root, threads=args.threads)
     payload = report.to_json_dict()
     payload["n"] = g.n
     payload["m"] = g.num_edges
     payload["mode"] = args.mode
     payload["runtime_ms"] = (time.perf_counter() - t0) * 1000
-    if args.roots == "all":
-        rooted = report.rooted or count_fast(g, args.k, rooted=True).rooted
-        payload["rooted"] = {str(v): c for v, c in rooted.items()}
-    elif args.roots:
+    if args.roots and not every_root:
         roots = [int(t) for t in args.roots.split(",")]
         payload["rooted"] = {str(v): count_rooted(g, args.k, v) for v in roots}
     if args.check:
@@ -166,11 +136,7 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
-    manifest = RunManifest(
-        "search", {k: v for k, v in vars(args).items() if k != "func"},
-        args.seed, __version__, _now(),
-    )
+def cmd_search(args, manifest: dict) -> int:
     if args.mode == "exhaustive":
         result = exhaustive_max(args.n, args.k)
     else:
@@ -187,11 +153,7 @@ def cmd_search(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    manifest = RunManifest(
-        "verify", {k: v for k, v in vars(args).items() if k != "func"},
-        None, __version__, _now(),
-    )
+def cmd_verify(args, manifest: dict) -> int:
     suites = run_suites(args.suite)
     report = {"suites": suites, "passed": all(s["passed"] for s in suites)}
     _emit(manifest, report, args.out)
@@ -201,11 +163,7 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_construct(args) -> int:
-    manifest = RunManifest(
-        "construct", {k: v for k, v in vars(args).items() if k != "func"},
-        args.seed, __version__, _now(),
-    )
+def cmd_construct(args, manifest: dict) -> int:
     g = parse_construct(args.construct, args.seed)
     text = io.to_graph6(g) if args.format == "graph6" else io.to_edge_list_text(g)
     report = {"n": g.n, "m": g.num_edges, "format": args.format, "graph": text.strip()}
@@ -260,8 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    manifest = {
+        "command": args.subcommand,
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "started_at": _now(),
+        "input_digest": {},
+    }
     try:
-        return args.func(args)
+        return args.func(args, manifest)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 
+from .counting import is_induced_cycle
 from .graph import Graph, _check_order, from_edge_list
 
 
@@ -32,22 +33,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
     mask_a = (1 << a) - 1
     mask_b = ((1 << (a + b)) - 1) ^ mask_a
     return Graph(a + b, [mask_b] * a + [mask_a] * b)
-
-
-def _is_cycle_graph(g: Graph) -> bool:
-    if g.n < 3 or any(row.bit_count() != 2 for row in g.rows):
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= g.rows[low.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
 
 
 def blow_up(base: Graph, part_sizes) -> Graph:
@@ -97,7 +82,7 @@ def iterated_blow_up(base: Graph, depth: int) -> Graph:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if not _is_cycle_graph(base):
+    if base.n < 3 or not is_induced_cycle(base, range(base.n)):
         raise ValueError("iterated blow-up is defined over a cycle base")
     _check_order(base.n ** min(depth, 17))  # 3**17 > MAX_VERTICES already
     if depth == 1:

@@ -55,10 +55,12 @@ def standard_corpus() -> list[CorpusEntry]:
     return entries
 
 
-def random_instances(count: int, n_lo: int, n_hi: int, seed: int,
-                     ps=(0.2, 0.35, 0.5, 0.65)) -> list[tuple[str, Graph]]:
+DENSITIES = (0.2, 0.35, 0.5, 0.65)
+
+
+def random_instances(count: int, n_lo: int, n_hi: int, seed: int) -> list[tuple[str, Graph]]:
     """Deterministic family of random graphs: sizes cycle through
-    [n_lo, n_hi], densities cycle through ps, per-graph seeds come from
+    [n_lo, n_hi], densities cycle through DENSITIES, per-graph seeds come from
     SeedSequence(seed).generate_state(count)."""
     import numpy as np
 
@@ -67,7 +69,7 @@ def random_instances(count: int, n_lo: int, n_hi: int, seed: int,
     span = n_hi - n_lo + 1
     for i in range(count):
         n = n_lo + i % span
-        p = ps[i % len(ps)]
+        p = DENSITIES[i % len(DENSITIES)]
         gseed = int(state[i])
         out.append((f"random_n{n}_p{int(p * 100)}_s{gseed}", random_graph(n, p, gseed)))
     return out

@@ -32,6 +32,7 @@ Python integers are arbitrary precision, so totals can never overflow.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -39,26 +40,16 @@ from .graph import Graph
 
 @dataclass
 class CountReport:
-    """Exact counting result; the rooted maps are filled only on request."""
+    """Exact counting result; the rooted vector is filled only on request."""
 
     k: int
     total: int
     rooted: dict[int, int] | None = None
-    edge_rooted: dict[tuple[int, int], int] | None = None
-    cherry_rooted: dict[tuple[int, int, int], int] | None = None
 
     def to_json_dict(self) -> dict:
         out: dict = {"k": self.k, "total": self.total}
         if self.rooted is not None:
             out["rooted"] = {str(v): c for v, c in sorted(self.rooted.items())}
-        if self.edge_rooted is not None:
-            out["edge_rooted"] = {
-                f"{u},{w}": c for (u, w), c in sorted(self.edge_rooted.items())
-            }
-        if self.cherry_rooted is not None:
-            out["cherry_rooted"] = {
-                f"{u},{v},{w}": c for (u, v, w), c in sorted(self.cherry_rooted.items())
-            }
         return out
 
 
@@ -97,13 +88,17 @@ def is_induced_cycle(g: Graph, vertices) -> bool:
     return _subset_is_cycle(g.rows, vs, mask)
 
 
+def _check_k(g: Graph, k: int) -> None:
+    if not 3 <= k <= g.n:
+        raise ValueError(f"need 3 <= k <= n={g.n}, got k={k}")
+
+
 def count_oracle(g: Graph, k: int, rooted: bool = False) -> CountReport:
     """Brute-force induced k-cycle count over all k-subsets (3 <= k <= n).
 
     Definitional reference implementation: no symmetry breaking, no pruning.
     """
-    if not 3 <= k <= g.n:
-        raise ValueError(f"need 3 <= k <= n={g.n}, got k={k}")
+    _check_k(g, k)
     rows = g.rows
     bit = [1 << v for v in range(g.n)]
     total = 0
@@ -269,22 +264,25 @@ def _count_roots_block(args) -> tuple[int, list[int] | None]:
 
 
 def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> CountReport:
-    """Induced k-cycle count via canonical path extension (4 <= k <= n).
+    """Induced k-cycle count via canonical path extension (3 <= k <= n).
 
     With rooted=True the same pass credits every vertex of every cycle, so
     the per-vertex counts cost no extra enumeration. With threads > 1 the
-    root loop is partitioned across worker processes; the reduction is
-    integer addition, so results are identical regardless of thread count.
+    root loop is partitioned into `threads` blocks, run by at most one worker
+    process per CPU; the reduction is integer addition, so results are
+    identical regardless of thread count. threads < 1 is refused.
     """
-    if not 4 <= k <= g.n:
-        raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_k(g, k)
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the import path
 
         blocks = [
             (g, k, range(start, g.n, threads), rooted) for start in range(threads)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_roots_block, blocks))
         total = sum(t for t, _ in parts)
         credit = [sum(c) for c in zip(*(c for _, c in parts))] if rooted else None
@@ -302,8 +300,7 @@ def count_rooted(g: Graph, k: int, v: int) -> int:
     Enumerates with v pinned as the root, independently of the crediting
     pass behind count_fast(rooted=True).
     """
-    if not 4 <= k <= g.n:
-        raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_k(g, k)
     _check_vertices(g, v)
     return _count_roots(g, k, [v], False)
 
@@ -314,8 +311,7 @@ def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
     Adjacent vertices inside an induced cycle are necessarily consecutive on
     it, so this equals the number of cycles traversing vw as a cycle edge.
     """
-    if not 4 <= k <= g.n:
-        raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_k(g, k)
     if not g.has_edge(v, w):
         raise ValueError(f"({v}, {w}) is not an edge")
     ncl = g._open_masks()
@@ -328,7 +324,7 @@ def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
 
     Requires u, w to be distinct non-adjacent neighbors of v. Since u and w
     are adjacent to v, any induced cycle through all three must use u and w
-    as the cycle neighbors of v.
+    as the cycle neighbors of v, and no triangle holds a cherry: 4 <= k <= n.
     """
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
@@ -347,8 +343,7 @@ def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
     """Number of induced k-cycles containing both v and w (any adjacency)."""
     if v == w:
         raise ValueError("pair count needs two distinct vertices")
-    if not 4 <= k <= g.n:
-        raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_k(g, k)
     _check_vertices(g, v, w)
     return _count_roots(g, k, [v], False, wbit=1 << w)
 
@@ -363,8 +358,7 @@ def cycles_through(g: Graph, k: int, v: int, w: int | None = None) -> list[int]:
     whole per-vertex vector by the difference of this function before and
     after the change.
     """
-    if not 4 <= k <= g.n:
-        raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_k(g, k)
     _check_vertices(g, v)
     wbit = 0
     if w is not None:

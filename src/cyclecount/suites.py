@@ -39,6 +39,11 @@ from .graph import (
 
 IDENTITY_SEED = 20240801
 SYMMETRISE_SEED = 20240802
+IDENTITY_GRAPHS = 100
+IDENTITY_KS = (5, 6, 7)
+SYMMETRISE_SAMPLES = 500
+BOUND_KS = (5, 6, 7)
+HEADLINE_KS = (6, 7, 8)
 
 
 def _suite(name: str, checks: list[dict]) -> dict:
@@ -49,16 +54,26 @@ def _suite(name: str, checks: list[dict]) -> dict:
     }
 
 
-def identities_suite(num_graphs: int = 100, ks=(5, 6, 7),
-                     pair_samples: int = 500) -> dict:
+def _twin_update(g, k: int, v_minus: int, v_plus: int) -> int:
+    """The count of symmetrise(g, v_minus, v_plus) that the neighborhood-swap
+    identity predicts from g alone."""
+    return (
+        count_fast(g, k).total
+        - count_rooted(g, k, v_minus)
+        + count_rooted(g, k, v_plus)
+        - count_containing_pair(g, k, v_minus, v_plus)
+    )
+
+
+def identities_suite() -> dict:
     """Exact combinatorial identities: vertex/edge/cherry handshakes on
     random graphs and the neighborhood-swap count identity (k >= 5),
     including its explicit k = 4 failure witness."""
     checks = []
-    graphs = random_instances(num_graphs, 8, 14, IDENTITY_SEED)
+    graphs = random_instances(IDENTITY_GRAPHS, 8, 14, IDENTITY_SEED)
     handshake_fail = []
     for i, (name, g) in enumerate(graphs):
-        k = ks[i % len(ks)]
+        k = IDENTITY_KS[i % len(IDENTITY_KS)]
         report = count_fast(g, k, rooted=True)
         if k * report.total != sum(report.rooted.values()):
             handshake_fail.append((name, k, "vertex"))
@@ -79,30 +94,24 @@ def identities_suite(num_graphs: int = 100, ks=(5, 6, 7),
     checks.append({
         "name": "handshake_identities",
         "passed": not handshake_fail,
-        "graphs": num_graphs,
-        "ks": list(ks),
+        "graphs": IDENTITY_GRAPHS,
+        "ks": list(IDENTITY_KS),
         "failures": handshake_fail,
     })
 
     sym_fail = []
-    graphs = random_instances((pair_samples + 9) // 10, 8, 12, SYMMETRISE_SEED)
+    graphs = random_instances((SYMMETRISE_SAMPLES + 9) // 10, 8, 12, SYMMETRISE_SEED)
     done = 0
     gi = 0
-    while done < pair_samples:
+    while done < SYMMETRISE_SAMPLES:
         name, g = graphs[gi % len(graphs)]
         k = (5, 6)[done % 2]
         v_minus = done % g.n
         v_plus = (done * 7 + 3) % g.n
         if v_minus == v_plus:
             v_plus = (v_plus + 1) % g.n
-        g2 = symmetrise(g, v_minus, v_plus)
-        lhs = count_fast(g2, k).total
-        rhs = (
-            count_fast(g, k).total
-            - count_rooted(g, k, v_minus)
-            + count_rooted(g, k, v_plus)
-            - count_containing_pair(g, k, v_minus, v_plus)
-        )
+        lhs = count_fast(symmetrise(g, v_minus, v_plus), k).total
+        rhs = _twin_update(g, k, v_minus, v_plus)
         if lhs != rhs:
             sym_fail.append((name, k, v_minus, v_plus, lhs, rhs))
         done += 1
@@ -110,7 +119,7 @@ def identities_suite(num_graphs: int = 100, ks=(5, 6, 7),
     checks.append({
         "name": "symmetrise_identity_k_ge_5",
         "passed": not sym_fail,
-        "instances": pair_samples,
+        "instances": SYMMETRISE_SAMPLES,
         "failures": sym_fail,
     })
 
@@ -119,12 +128,7 @@ def identities_suite(num_graphs: int = 100, ks=(5, 6, 7),
     g = from_edge_list(4, [(1, 2), (2, 3)])
     g2 = symmetrise(g, 0, 2)
     lhs = count_fast(g2, 4).total
-    rhs = (
-        count_fast(g, 4).total
-        - count_rooted(g, 4, 0)
-        + count_rooted(g, 4, 2)
-        - count_containing_pair(g, 4, 0, 2)
-    )
+    rhs = _twin_update(g, 4, 0, 2)
     twin_cycle = is_induced_cycle(g2, [0, 1, 2, 3])
     checks.append({
         "name": "symmetrise_identity_fails_at_k4",
@@ -136,7 +140,7 @@ def identities_suite(num_graphs: int = 100, ks=(5, 6, 7),
     return _suite("identities", checks)
 
 
-def bounds_suite(ks=(5, 6, 7), rel_eps: float = REL_EPS) -> dict:
+def bounds_suite() -> dict:
     """Zero tolerance soundness sweep of all four count ceilings over the
     corpus: per-vertex for every vertex, per-edge for every edge, cherry for
     every induced 2-path (skipped on heavy entries), and the global bound.
@@ -147,19 +151,19 @@ def bounds_suite(ks=(5, 6, 7), rel_eps: float = REL_EPS) -> dict:
     for entry in standard_corpus():
         g = entry.graph
         n = g.n
-        for k in ks:
+        for k in BOUND_KS:
             if k > n:
                 continue
             report = count_fast(g, k, rooted=True)
             gb = global_pg_bound(n, k)
             evaluated["global"] += 1
-            if report.total > gb * (1 + rel_eps):
+            if report.total > gb * (1 + REL_EPS):
                 violations.append((entry.name, k, "global", report.total, gb))
             degs = g.degree_sequence()
             for v in range(n):
                 vb = vertex_bound(n, k, degs[v])
                 evaluated["vertex"] += 1
-                if report.rooted[v] > vb * (1 + rel_eps):
+                if report.rooted[v] > vb * (1 + REL_EPS):
                     violations.append((entry.name, k, f"vertex@{v}", report.rooted[v], vb))
             if entry.heavy:
                 continue
@@ -167,7 +171,7 @@ def bounds_suite(ks=(5, 6, 7), rel_eps: float = REL_EPS) -> dict:
                 actual = count_edge_rooted(g, k, u, w)
                 eb = edge_bound(n, k, degs[u], degs[w], codegree(g, u, w))
                 evaluated["edge"] += 1
-                if actual > eb * (1 + rel_eps):
+                if actual > eb * (1 + REL_EPS):
                     violations.append((entry.name, k, f"edge@{u},{w}", actual, eb))
             if k < 6:
                 continue
@@ -180,7 +184,7 @@ def bounds_suite(ks=(5, 6, 7), rel_eps: float = REL_EPS) -> dict:
                         triple_codegree(g, u, v, w),
                     )
                     evaluated["cherry"] += 1
-                    if actual > cb * (1 + rel_eps):
+                    if actual > cb * (1 + REL_EPS):
                         violations.append(
                             (entry.name, k, f"cherry@{u},{v},{w}", actual, cb)
                         )
@@ -188,13 +192,13 @@ def bounds_suite(ks=(5, 6, 7), rel_eps: float = REL_EPS) -> dict:
         "name": "bound_soundness_zero_violations",
         "passed": not violations,
         "evaluated": evaluated,
-        "rel_eps": rel_eps,
+        "rel_eps": REL_EPS,
         "violations": violations,
     })
     return _suite("bounds", checks)
 
 
-def headline_suite(ks=(6, 7, 8)) -> dict:
+def headline_suite() -> dict:
     """Per-vertex ceiling at the minimum-degree vertex over the corpus.
 
     For each graph and k, the scaled degree c = k d / n of the minimum
@@ -210,7 +214,7 @@ def headline_suite(ks=(6, 7, 8)) -> dict:
         n = g.n
         v = g.min_degree_vertex()
         d = g.degree(v)
-        for k in ks:
+        for k in HEADLINE_KS:
             if k > n:
                 continue
             c = Fraction(k * d, n)

@@ -8,7 +8,6 @@ of the original (unreduced) objectives bound every maximum from below.
 """
 
 import itertools
-import json
 import math
 import random
 
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 from mpmath import iv, mp
 
+from cyclecount import analytic
 from cyclecount.analytic import (
     RATIO,
     VerificationError,
@@ -36,6 +36,7 @@ from cyclecount.analytic import (
 )
 from cyclecount.bounds import RATIO_UPPER
 from cyclecount.interval import Interval
+from cyclecount.suites import analytic_suite
 
 INF = math.inf
 G_UW_PARAMS = [(1.0, 0.0, 0.0, 0.0), (1.5, 0.0, 0.0, 0.0), (1.9, 0.3, 0.2, 0.1),
@@ -177,7 +178,31 @@ def test_solve_A_validates():
     with pytest.raises(ValueError):
         solve_A(0.5, 2)
     with pytest.raises(ValueError):
-        solve_A(1.5, 4)
+        solve_A(1.5, 0)
+    # weak duality bounds every m the same way
+    assert solve_A(1.5, 4).max_value == pytest.approx(4 * 1.5**3 * math.exp(-3.0), abs=1e-9)
+    assert solve_A(2.0, 10**5).certified_upper >= 10**5 * 1.5**3 * math.exp(-3.0)
+
+
+def test_solve_A_proves_each_dual_once_per_c(monkeypatch):
+    proved = []
+
+    def counting(value, grad, box, target=None):
+        if value.__qualname__.startswith("_dual_A."):
+            proved.append(box[0][1])
+        return _maximise(value, grad, box, target)
+
+    monkeypatch.setattr(analytic, "_maximise", counting)
+    analytic._dual_bound.cache_clear()
+    suite = analytic_suite()
+    assert sum(c["name"].startswith("product_sum_") for c in suite["checks"]) == 8
+    assert proved == [1.0, 1.2, 1.5, 2.0]
+    # one cached c at a time: a c seen before the last one is proved again
+    solve_A(1.0, 1)
+    assert proved == [1.0, 1.2, 1.5, 2.0, 1.0]
+    # the cached result is shared, and solve_A leaves it as it was
+    first, again = solve_A(1.0, 2), solve_A(1.0, 2)
+    assert first.info == again.info and first.argmax == again.argmax
 
 
 def test_final_constant():
@@ -215,14 +240,6 @@ def test_mindeg_chain_values_and_decrease():
     assert at25.info["cubic_chain_at_c"] < at2.info["cubic_chain_at_c"]
     at3 = verify_mindeg_chain(3.0)
     assert at3.info["linear_chain_at_c"] == pytest.approx(6 / math.e, abs=1e-12)
-
-
-def test_opt_result_json():
-    r = solve_A(1.5, 2)
-    d = r.to_json_dict()
-    assert isinstance(d["max_value"], float)
-    assert all(isinstance(x, float) for x in d["argmax"])
-    json.dumps(d)
 
 
 def test_verification_error_is_runtime_error():

@@ -84,6 +84,27 @@ def test_count_long_cycle(capsys):
     assert payload["report"]["total"] == 1
 
 
+@pytest.mark.parametrize("mode", ["fast", "oracle"])
+def test_count_triangles_checked_in_both_modes(capsys, mode):
+    code, payload, _ = run_cli(
+        capsys, "count", "--construct", "random:9,0.5", "--k", "3", "--seed", "4",
+        "--mode", mode, "--check", "--roots", "all",
+    )
+    assert code == 0
+    report = payload["report"]
+    assert report["check_agrees"] is True and report["total"] > 0
+    assert sum(report["rooted"].values()) == 3 * report["total"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_count_refuses_threads_below_one(capsys, threads):
+    code, payload, err = run_cli(
+        capsys, "count", "--construct", "petersen", "--k", "5", "--threads", threads
+    )
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "threads" in err
+
+
 def test_count_rejects_bad_k(capsys):
     code, _, err = run_cli(capsys, "count", "--construct", "cycle:3", "--k", "9")
     assert code == 1
@@ -237,3 +258,29 @@ def test_cli_import_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60, env=env)
     assert out.stdout.strip() == "[]"
+
+
+# Reports of eleven commands recorded from the CLI before the run manifest
+# became a plain dict and `--roots all` took its vector from the selected
+# mode's own counter; "{input}" stands for the path of a graph6 file of the
+# Petersen graph. Runtimes and timestamps are left out of the comparison.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_payload_matches_recorded_report(capsys, tmp_path, name):
+    path = tmp_path / "pet.g6"
+    path.write_text(to_graph6(petersen()) + "\n", encoding="ascii")
+    argv = [a.replace("{input}", str(path)) for a in GOLDEN[name]["argv"]]
+    code, payload, _ = run_cli(capsys, *argv)
+    assert code == 0
+    manifest = payload["manifest"]
+    del manifest["started_at"], manifest["finished_at"]
+    payload["report"].pop("runtime_ms", None)
+    if manifest["args"].get("input") == str(path):
+        manifest["args"]["input"] = "{input}"
+    manifest["input_digest"] = {
+        "{input}" if key == str(path) else key: digest
+        for key, digest in manifest["input_digest"].items()
+    }
+    assert payload == GOLDEN[name]["payload"]

@@ -1,6 +1,9 @@
 """Counting kernel: frozen values, oracle equivalence, rooted identities."""
 
+import concurrent.futures
 import itertools
+import math
+import os
 import sys
 
 import pytest
@@ -245,6 +248,62 @@ def test_threads_agree_with_single():
     assert a.rooted == b.rooted
 
 
+@pytest.mark.parametrize("threads,cpus,workers", [(2, 4, 2), (40, 4, 4), (3, None, 1)])
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, threads, cpus, workers):
+    # the stand-in maps in-process, so no worker process is ever started
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    g = random_graph(14, 0.4, 5)
+    assert count_fast(g, 5, rooted=True, threads=threads) == count_fast(g, 5, rooted=True)
+    assert made == [workers]
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            count_fast(g, 5, threads=bad)
+    assert made == [workers]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.sampled_from([0.2, 0.4, 0.6, 0.8]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fast_counters_equal_oracle_at_k3(n, p, seed):
+    g = random_graph(n, p, seed)
+    want = count_oracle(g, 3, rooted=True)
+    got = count_fast(g, 3, rooted=True)
+    assert got.total == want.total and got.rooted == want.rooted
+    for v in range(n):
+        assert count_rooted(g, 3, v) == want.rooted[v]
+        assert cycles_through(g, 3, v) == _oracle_tallies(g, 3, {v})
+    for v, w in itertools.combinations(range(n), 2):
+        tally = _oracle_tallies(g, 3, {v, w})
+        assert cycles_through(g, 3, v, w) == tally
+        assert count_containing_pair(g, 3, v, w) == tally[v]
+        if g.has_edge(v, w):
+            assert count_edge_rooted(g, 3, v, w) == tally[v]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_complete_graph_triangles(n):
+    assert count_fast(complete_graph(n), 3).total == math.comb(n, 3)
+
+
 def test_pair_count_equals_oracle_pairs():
     g = random_graph(11, 0.45, 17)
     for k in (4, 5, 6):
@@ -339,7 +398,7 @@ def test_is_induced_cycle():
 def test_argument_validation():
     g = cycle(6)
     with pytest.raises(ValueError):
-        count_fast(g, 3)  # fast path needs k >= 4
+        count_fast(g, 2)  # no cycle has fewer than 3 vertices
     with pytest.raises(ValueError):
         count_fast(g, 7)  # k > n
     with pytest.raises(ValueError):
@@ -353,9 +412,11 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         count_cherry_rooted(g, 6, 1, 1, 3)
     with pytest.raises(ValueError):
+        count_cherry_rooted(g, 3, 0, 1, 2)  # no triangle holds a cherry
+    with pytest.raises(ValueError):
         symmetrise(g, 1, 1)
     with pytest.raises(ValueError):
-        cycles_through(g, 3, 0)
+        cycles_through(g, 2, 0)
     with pytest.raises(ValueError):
         cycles_through(g, 6, 2, 2)
 
