@@ -38,7 +38,10 @@ def _now() -> str:
 
 def _parse_probability(text: str) -> float:
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"probability {text!r} divides by zero") from None
     return float(text)
 
 

@@ -4,9 +4,10 @@ enumerator, rooted variants, and the neighborhood-swap graph transform.
 All the path-extension counters share one enumerator, `_walk`, which keeps
 its partial paths on an explicit stack, so a k-cycle needs no recursion depth
 at any k. A path grows only through neighbors of its tip that avoid the closed
-neighborhoods of the earlier interior vertices and of the root; it closes at
-the penultimate vertex through one mask of root neighbors that are still free,
-so the last vertex is counted by a popcount instead of a stack frame.
+neighborhoods of the earlier interior vertices and of the root. The last two
+vertices get no stack frame: the vertex before them counts the edges between
+its candidates for the penultimate vertex and the root neighbors that are still
+free to close, one popcount per closing vertex.
 
 `count_fast` roots each cycle at its minimum label and breaks direction by
 requiring the second vertex to carry a smaller label than the closing one, so
@@ -126,9 +127,12 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
     inherit: `fk`, the vertices still free to become interior path vertices,
     and `ck`, the vertices still free to close the cycle. Entering a vertex u
     clears its closed neighborhood `ncl[u]` (stored complemented) from both.
-    A vertex chosen at level `last` is the penultimate one and is closed
-    inline through `adj[u] & ck`. The caller passes the path's tip as the
-    single candidate of level 0, with the masks of the path before it.
+    The vertices chosen at level `last` are the penultimate ones. They get no
+    level of their own: a vertex u whose children they would be adds the
+    edges between them and its closers, counted from the closers' side, which
+    is usually the smaller one. The caller passes the path's tip as the single
+    candidate of level 0, with the masks of the path before it; for last = 0
+    that tip is itself penultimate.
 
     wbit: if nonzero, one vertex that must still join the path. It is needed
     at a level exactly while it lies in fk | ck, and once it is a neighbor of
@@ -139,6 +143,20 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
     """
     if wbit and not wbit & (fk | ck):
         return 0
+    if last == 0:
+        u = cand.bit_length() - 1
+        closers = adj[u] & ck
+        if wbit:
+            closers &= wbit
+        total = closers.bit_count()
+        if credit is not None and total:
+            credit[u] += total
+            while closers:
+                y = closers & -closers
+                closers ^= y
+                credit[y.bit_length() - 1] += 1
+        return total
+    pen = last - 1
     total = 0
     level = 0
     stack = []
@@ -148,18 +166,20 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
                 low = cand & -cand
                 cand ^= low
                 u = low.bit_length() - 1
-                if level == last:
-                    closers = adj[u] & ck
-                    if wbit and wbit & (fk | ck):
-                        closers &= wbit
-                    total += closers.bit_count()
-                    continue
                 nxt = adj[u] & fk
                 if wbit and wbit & (fk | ck) and wbit & adj[u]:
                     nxt &= wbit
                 nu = ncl[u]
                 nck = ck & nu
                 if nxt and nck:
+                    if level == pen:
+                        if wbit and wbit & ((fk & nu) | nck):
+                            nck &= wbit
+                        while nck:
+                            low = nck & -nck
+                            nck ^= low
+                            total += (adj[low.bit_length() - 1] & nxt).bit_count()
+                        continue
                     stack.append((cand, fk, ck))
                     cand = nxt
                     fk &= nu
@@ -175,25 +195,32 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
             low = cand & -cand
             cand ^= low
             u = low.bit_length() - 1
-            if level == last:
-                closers = adj[u] & ck
-                if wbit and wbit & (fk | ck):
-                    closers &= wbit
-                if closers:
-                    c = closers.bit_count()
-                    total += c
-                    credit[u] += c
-                    while closers:
-                        x = closers & -closers
-                        closers ^= x
-                        credit[x.bit_length() - 1] += 1
-                continue
             nxt = adj[u] & fk
             if wbit and wbit & (fk | ck) and wbit & adj[u]:
                 nxt &= wbit
             nu = ncl[u]
             nck = ck & nu
             if nxt and nck:
+                if level == pen:
+                    if wbit and wbit & ((fk & nu) | nck):
+                        nck &= wbit
+                    sub = 0
+                    while nck:
+                        low = nck & -nck
+                        nck ^= low
+                        y = low.bit_length() - 1
+                        xs = adj[y] & nxt
+                        if xs:
+                            c = xs.bit_count()
+                            sub += c
+                            credit[y] += c
+                            while xs:
+                                x = xs & -xs
+                                xs ^= x
+                                credit[x.bit_length() - 1] += 1
+                    total += sub
+                    credit[u] += sub
+                    continue
                 stack.append((cand, fk, ck, u, total))
                 cand = nxt
                 fk &= nu

@@ -14,29 +14,26 @@ from .graph import Graph, from_edge_list
 GRAPH6_HEADER = ">>graph6<<"
 
 
+# graph6 character <-> its six bits, most significant first
+_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_CHARS = {bits: chr(c) for c, bits in _BITS.items()}
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a canonical graph6 string (no header, zero padding)."""
     n = g.n
     if n <= 62:
-        head = [n + 63]
+        head = chr(n + 63)
     elif n <= 258047:
-        head = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError(f"graph6 long form not supported for n={n}")
-    bits = []
-    for col in range(1, n):
-        colrow = g.rows[col]
-        for rowv in range(col):
-            bits.append((colrow >> rowv) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i : i + 6]:
-            group = (group << 1) | b
-        body.append(group + 63)
-    return "".join(chr(c) for c in head + body)
+    rows = g.rows
+    # column col holds rows 0..col-1 upward: the low bits of rows[col], reversed
+    bits = "".join(format(rows[col] & ((1 << col) - 1), f"0{col}b")[::-1]
+                   for col in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_CHARS[bits[i : i + 6]] for i in range(0, len(bits), 6)])
 
 
 def from_graph6(text: str) -> Graph:
@@ -46,40 +43,38 @@ def from_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER) :]
     if not s:
         raise ValueError("empty graph6 string")
-    data = [ord(ch) - 63 for ch in s]
-    if any(d < 0 or d > 63 for d in data):
+    # every character of the 6-bit range becomes six bits, any other stays one
+    bits = s.translate(_BITS)
+    if len(bits) != 6 * len(s):
         raise ValueError("graph6 characters outside the 6-bit range")
-    if data[0] == 63:
-        if len(data) < 4:
+    if s[0] == "~":
+        if len(s) < 4:
             raise ValueError("truncated graph6 size field")
-        if data[1] == 63:
+        if s[1] == "~":
             raise ValueError("graph6 long form (n > 258047) not supported")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = int(bits[6:24], 2)
+        start = 24
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(s[0]) - 63
+        start = 6
     if n == 0:
         raise ValueError("graph6 graph with zero vertices")
     nbits = n * (n - 1) // 2
-    if len(body) != (nbits + 5) // 6:
+    groups = len(s) - start // 6
+    if groups != (nbits + 5) // 6:
         raise ValueError(
-            f"graph6 body has {len(body)} groups, expected {(nbits + 5) // 6} for n={n}"
+            f"graph6 body has {groups} groups, expected {(nbits + 5) // 6} for n={n}"
         )
-    bits = []
-    for group in body:
-        for shift in range(5, -1, -1):
-            bits.append((group >> shift) & 1)
-    if any(bits[nbits:]):
+    if "1" in bits[start + nbits :]:
         raise ValueError("nonzero padding bits in graph6 body")
     rows = [0] * n
-    idx = 0
     for col in range(1, n):
-        for rowv in range(col):
-            if bits[idx]:
-                rows[col] |= 1 << rowv
-                rows[rowv] |= 1 << col
-            idx += 1
+        low = rows[col] = int(bits[start : start + col][::-1], 2)
+        start += col
+        while low:
+            b = low & -low
+            low ^= b
+            rows[b.bit_length() - 1] |= 1 << col
     return Graph(n, rows)
 
 
@@ -103,11 +98,17 @@ def from_edge_list_text(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list declares {m} edges but has {len(lines) - 1} lines")
     edges = []
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, w = int(parts[0]), int(parts[1])
+        key = (min(u, w), max(u, w))
+        if key in seen:
+            raise ValueError(f"edge ({u}, {w}) listed twice")
+        seen.add(key)
+        edges.append((u, w))
     return from_edge_list(n, edges)
 
 

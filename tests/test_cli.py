@@ -111,6 +111,25 @@ def test_count_rejects_bad_k(capsys):
     assert "error:" in err
 
 
+def test_count_refuses_a_zero_denominator(capsys):
+    code, payload, err = run_cli(
+        capsys, "count", "--construct", "random:5,1/0", "--seed", "1", "--k", "3"
+    )
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and "1/0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("second", ["0 1", "1 0"])
+def test_count_refuses_an_edge_listed_twice(capsys, tmp_path, second):
+    path = tmp_path / "dup.txt"
+    path.write_text(f"3 2\n0 1\n{second}\n", encoding="ascii")
+    code, payload, err = run_cli(capsys, "count", "--input", str(path), "--k", "3")
+    assert code == 1 and payload is None
+    assert err.startswith("error:") and f"({second.replace(' ', ', ')})" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_count_needs_exactly_one_source(capsys):
     with pytest.raises(SystemExit):
         cli.main(["count", "--k", "5"])

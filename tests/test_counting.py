@@ -336,6 +336,36 @@ def test_cycles_through_equals_oracle_tallies():
             assert cycles_through(g, k, v, w) == _oracle_tallies(g, k, {v, w}), (k, v, w)
 
 
+@st.composite
+def _graph_and_k(draw):
+    # half the draws plant an induced k-cycle on randomly labelled vertices,
+    # so that over all ordered pairs w sits at every position of a cycle
+    # through the root v: second, interior, penultimate and closing
+    k = draw(st.integers(min_value=3, max_value=8))
+    n = draw(st.integers(min_value=k, max_value=12))
+    g = random_graph(n, draw(st.sampled_from([0.2, 0.4, 0.6, 0.8])),
+                     draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        on = set(order[:k])
+        edges = [(u, w) for u, w in g.edges() if not (u in on and w in on)]
+        edges += [(order[i], order[(i + 1) % k]) for i in range(k)]
+        g = from_edge_list(n, edges)
+    return g, k
+
+
+@settings(deadline=None, max_examples=80)
+@given(_graph_and_k())
+def test_pair_counts_equal_oracle_on_random_graphs(gk):
+    g, k = gk
+    cycles = [set(c) for c in itertools.combinations(range(g.n), k)
+              if is_induced_cycle(g, c)]
+    for v, w in itertools.permutations(range(g.n), 2):
+        tally = [sum(1 for c in cycles if {v, w, x} <= c) for x in range(g.n)]
+        assert count_containing_pair(g, k, v, w) == tally[v], (k, v, w)
+        assert cycles_through(g, k, v, w) == tally, (k, v, w)
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     st.integers(min_value=8, max_value=12),

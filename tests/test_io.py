@@ -1,10 +1,11 @@
 """graph6 / edge-list serialization, cross-checked against networkx."""
 
 import itertools
+import re
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecount import io
@@ -51,6 +52,35 @@ def test_graph6_header_variants():
     bare = io.to_graph6(g)
     assert io.from_graph6(">>graph6<<" + bare) == g
     assert io.from_graph6(bare + "\n") == g
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(st.integers(min_value=1, max_value=62),
+              st.integers(min_value=63, max_value=300)),
+    st.sampled_from([0.0, 0.05, 0.5, 0.95]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_graph6_decoder_matches_networkx(n, p, seed):
+    # networkx encodes and decodes, in the short (n <= 62) and the long size form
+    text = nx.to_graph6_bytes(nx.gnp_random_graph(n, p, seed=seed), header=False).strip()
+    want = nx.from_graph6_bytes(text)
+    assert io.from_graph6(text.decode()) == from_edge_list(n, want.edges())
+
+
+@pytest.mark.parametrize("text,message", [
+    ("B\u00e9", "graph6 characters outside the 6-bit range"),
+    ("B\x7f", "graph6 characters outside the 6-bit range"),
+    ("~~??????", "graph6 long form (n > 258047) not supported"),
+    ("~??", "truncated graph6 size field"),
+    # n = 63: 1953 bits in 326 groups, and the last of the 3 padding bits set
+    ("~??~" + "?" * 325 + chr(63 + 1), "nonzero padding bits in graph6 body"),
+    ("D?", "graph6 body has 1 groups, expected 2 for n=5"),
+    ("D???", "graph6 body has 3 groups, expected 2 for n=5"),
+])
+def test_graph6_rejection_messages(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        io.from_graph6(text)
 
 
 def test_graph6_rejects_garbage():
