@@ -26,14 +26,11 @@ from .bounds import (
     PG_CONSTANT,
     RATIO_UPPER,
     cherry_bound,
-    density_sequence,
     edge_bound,
     global_pg_bound,
-    inducibility_bracket,
     vertex_bound,
-    vertex_bound_relaxed,
 )
-from .search import SearchResult, exhaustive_max, local_search_max, monotonicity_report
+from .search import SearchResult, exhaustive_max, local_search_max
 from .analytic import (
     OptResult,
     VerificationError,
@@ -67,21 +64,18 @@ __all__ = [
     "count_oracle",
     "count_rooted",
     "cycle",
-    "density_sequence",
     "edge_bound",
     "exhaustive_max",
     "f_properties",
     "final_constant",
     "from_edge_list",
     "global_pg_bound",
-    "inducibility_bracket",
     "is_induced_cycle",
     "iterated_blow_up",
     "iterated_blowup_cycle_count",
     "local_search_max",
     "maximize_g_c",
     "maximize_g_uw",
-    "monotonicity_report",
     "petersen",
     "random_graph",
     "solve_A",
@@ -89,5 +83,4 @@ __all__ = [
     "verify_mindeg_chain",
     "verify_rangec",
     "vertex_bound",
-    "vertex_bound_relaxed",
 ]

@@ -271,6 +271,8 @@ def solve_A(c: float, m: int) -> OptResult:
     at most m times the maximum over [1, c]^2 of z^2 y e^-(z+y) - lam z (z - y)
     for any lam. With z* = min(c, 3/2) and lam = z* e^(-2 z*)/2 that bound is
     attained at the feasible point y_i = z_i = z*, with value m z*^3 e^(-2 z*).
+    That point is shared by every i, so the argmax is the one pair (z, y) with
+    z = y, whatever m is.
     """
     if not 1.0 <= c <= 2.0:
         raise ValueError(f"need 1 <= c <= 2, got {c}")
@@ -287,7 +289,7 @@ def solve_A(c: float, m: int) -> OptResult:
     lagrange_ok = abs(z - (y * y + y) / (3 * y - 2)) <= 1e-5 if m == 2 and interior else None
     _prove(lagrange_ok is not False, "stationarity relation z=(y^2+y)/(3y-2) fails")
     max_value = m * z**3 * math.exp(-2 * z)  # at the feasible point y_i = z_i = z
-    return OptResult(max_value, (z,) * (2 * m), not interior, upper, {
+    return OptResult(max_value, (z, z), not interior, upper, {
         "boxes": dual.info["boxes"], "closed_form": closed, "multiplier": lam,
         "lagrange_ok": lagrange_ok})
 

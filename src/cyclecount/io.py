@@ -9,7 +9,7 @@ relabeling map is needed.
 
 from __future__ import annotations
 
-from .graph import Graph, from_edge_list
+from .graph import Graph, _check_order, from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -57,8 +57,7 @@ def from_graph6(text: str) -> Graph:
     else:
         n = ord(s[0]) - 63
         start = 6
-    if n == 0:
-        raise ValueError("graph6 graph with zero vertices")
+    _check_order(n)
     nbits = n * (n - 1) // 2
     groups = len(s) - start // 6
     if groups != (nbits + 5) // 6:
@@ -75,7 +74,8 @@ def from_graph6(text: str) -> Graph:
             b = low & -low
             low ^= b
             rows[b.bit_length() - 1] |= 1 << col
-    return Graph(n, rows)
+    # symmetric, loopless and in range by construction
+    return Graph._trusted(n, rows)
 
 
 def to_edge_list_text(g: Graph) -> str:

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 from . import io
-from .bounds import density_sequence, DensityReport
 from .constructions import (
     balanced_part_sizes,
     blow_up,
@@ -406,14 +405,3 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         runtime_ms=(time.perf_counter() - t0) * 1000,
     )
 
-
-def monotonicity_report(k: int, n_max: int) -> DensityReport:
-    """Exact density sequence I(n)/C(n,k) for n = k..n_max from exhaustive
-    search, with any monotonicity violation flagged."""
-    if n_max < k:
-        raise ValueError(f"need n_max >= k, got n_max={n_max}, k={k}")
-    counts = {
-        n: exhaustive_max(n, k).best_count
-        for n in range(k, n_max + 1)
-    }
-    return density_sequence(k, counts)

@@ -11,15 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import analytic
-from .bounds import (
-    RATIO_UPPER,
-    REL_EPS,
-    cherry_bound,
-    edge_bound,
-    global_pg_bound,
-    vertex_bound,
-)
+from . import analytic, io
+from .bounds import RATIO_UPPER, cherry_bound, edge_bound, vertex_bound
 from .corpus import random_instances, standard_corpus
 from .counting import (
     count_cherry_rooted,
@@ -36,6 +29,7 @@ from .graph import (
     nonadjacent_neighbor_pairs,
     triple_codegree,
 )
+from .interval import Interval
 
 IDENTITY_SEED = 20240801
 SYMMETRISE_SEED = 20240802
@@ -44,6 +38,11 @@ IDENTITY_KS = (5, 6, 7)
 SYMMETRISE_SAMPLES = 500
 BOUND_KS = (5, 6, 7)
 HEADLINE_KS = (6, 7, 8)
+
+# floats proved to be at most e and 128e/81: a count passes a ceiling of e or
+# 128e/81 times a rational r only if count / r is at most one of them
+E_LOWER = Interval(-1.0).exp_neg()[0]
+RATIO_LOWER = analytic.RATIO[0]
 
 
 def _suite(name: str, checks: list[dict]) -> dict:
@@ -140,10 +139,18 @@ def identities_suite() -> dict:
     return _suite("identities", checks)
 
 
+def _violation(entry, k: int, where: str, count: int, ceiling) -> tuple:
+    """A failed bound check: the instance with its graph6, and the ceiling
+    written exactly, as a fraction or a constant times one."""
+    return (entry.name, k, where, count, str(ceiling), io.to_graph6(entry.graph))
+
+
 def bounds_suite() -> dict:
     """Zero tolerance soundness sweep of all four count ceilings over the
     corpus: per-vertex for every vertex, per-edge for every edge, cherry for
     every induced 2-path (skipped on heavy entries), and the global bound.
+    Every comparison is exact; a violation names the instance's graph6 and
+    writes its ceiling as a fraction string.
     """
     checks = []
     violations = []
@@ -155,24 +162,26 @@ def bounds_suite() -> dict:
             if k > n:
                 continue
             report = count_fast(g, k, rooted=True)
-            gb = global_pg_bound(n, k)
+            scale = 2 * Fraction(n, k) ** k
             evaluated["global"] += 1
-            if report.total > gb * (1 + REL_EPS):
-                violations.append((entry.name, k, "global", report.total, gb))
+            if Fraction(report.total) / scale > E_LOWER:
+                violations.append(_violation(entry, k, "global", report.total, f"e*{scale}"))
             degs = g.degree_sequence()
             for v in range(n):
                 vb = vertex_bound(n, k, degs[v])
                 evaluated["vertex"] += 1
-                if report.rooted[v] > vb * (1 + REL_EPS):
-                    violations.append((entry.name, k, f"vertex@{v}", report.rooted[v], vb))
+                if report.rooted[v] > vb:
+                    violations.append(
+                        _violation(entry, k, f"vertex@{v}", report.rooted[v], vb)
+                    )
             if entry.heavy:
                 continue
             for u, w in g.edges():
                 actual = count_edge_rooted(g, k, u, w)
                 eb = edge_bound(n, k, degs[u], degs[w], codegree(g, u, w))
                 evaluated["edge"] += 1
-                if actual > eb * (1 + REL_EPS):
-                    violations.append((entry.name, k, f"edge@{u},{w}", actual, eb))
+                if actual > eb:
+                    violations.append(_violation(entry, k, f"edge@{u},{w}", actual, eb))
             if k < 6:
                 continue
             for v in range(n):
@@ -184,15 +193,14 @@ def bounds_suite() -> dict:
                         triple_codegree(g, u, v, w),
                     )
                     evaluated["cherry"] += 1
-                    if actual > cb * (1 + REL_EPS):
+                    if actual > cb:
                         violations.append(
-                            (entry.name, k, f"cherry@{u},{v},{w}", actual, cb)
+                            _violation(entry, k, f"cherry@{u},{v},{w}", actual, cb)
                         )
     checks.append({
         "name": "bound_soundness_zero_violations",
         "passed": not violations,
         "evaluated": evaluated,
-        "rel_eps": REL_EPS,
         "violations": violations,
     })
     return _suite("bounds", checks)
@@ -204,7 +212,8 @@ def headline_suite() -> dict:
     For each graph and k, the scaled degree c = k d / n of the minimum
     degree vertex is classified into the proof's case split (c < 1, the
     bracket 1 <= c < 2, or c >= 2) and the exact rooted count is checked
-    against (128e/81)(n/k)^(k-1) (1 + 10/n).
+    against (128e/81)(n/k)^(k-1) (1 + 10/n), exactly as count over the
+    rational part against a float proved to be at most 128e/81.
     """
     checks = []
     failures = []
@@ -226,9 +235,10 @@ def headline_suite() -> dict:
                 case = "high"
             cases[case] += 1
             actual = count_rooted(g, k, v)
-            ceiling = RATIO_UPPER * (n / k) ** (k - 1) * (1 + 10 / n)
-            if actual > ceiling * (1 + REL_EPS):
-                failures.append((entry.name, k, str(c), case, actual, ceiling))
+            scale = Fraction(n, k) ** (k - 1) * Fraction(n + 10, n)
+            if Fraction(actual) / scale > RATIO_LOWER:
+                failures.append((entry.name, k, str(c), case, actual,
+                                 f"128e/81*{scale}", io.to_graph6(g)))
     checks.append({
         "name": "min_degree_vertex_ceiling",
         "passed": not failures,

@@ -10,6 +10,7 @@ of the original (unreduced) objectives bound every maximum from below.
 import itertools
 import math
 import random
+import time
 
 import pytest
 from mpmath import iv, mp
@@ -161,11 +162,11 @@ def test_solve_A_lagrange_relation():
     # at the interior optimum the multiplier equality z = (y^2+y)/(3y-2) holds
     r = solve_A(2.0, 2)
     assert not r.on_boundary
-    z, y = r.argmax[0], r.argmax[2]
+    z, y = r.argmax
     assert abs(z - (y * y + y) / (3 * y - 2)) <= 1e-2
     assert r.info["lagrange_ok"]
     # the primal with y_2 eliminated is stationary at (z_1, z_2, y_1)
-    point = r.argmax[:3]
+    point = (z, z, y)
     for i in range(3):
         order = tuple(int(j == i) for j in range(3))
         assert abs(mp.diff(_primal_m2, point, order)) <= 1e-5
@@ -179,6 +180,15 @@ def test_solve_A_validates():
     # weak duality bounds every m the same way
     assert solve_A(1.5, 4).max_value == pytest.approx(4 * 1.5**3 * math.exp(-3.0), abs=1e-9)
     assert solve_A(2.0, 10**5).certified_upper >= 10**5 * 1.5**3 * math.exp(-3.0)
+
+
+def test_solve_A_huge_m_is_prompt():
+    # the argmax is the one shared pair, not 2m copies of z
+    start = time.perf_counter()
+    r = solve_A(1.0, 10**9)
+    assert time.perf_counter() - start < 5.0
+    assert r.argmax == (1.0, 1.0)
+    assert math.isclose(r.certified_upper, 10**9 * math.exp(-2.0), rel_tol=1e-9)
 
 
 def test_solve_A_proves_each_dual_once_per_c(monkeypatch):

@@ -1,4 +1,4 @@
-"""Closed-form ceilings and the density bracket."""
+"""Closed-form ceilings."""
 
 import math
 from fractions import Fraction
@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 from cyclecount.bounds import (
     PG_CONSTANT,
     RATIO_UPPER,
-    REL_EPS,
     cherry_bound,
-    density_sequence,
     edge_bound,
     global_pg_bound,
-    inducibility_bracket,
     vertex_bound,
-    vertex_bound_relaxed,
 )
 from cyclecount.constructions import cycle, petersen, random_graph
 from cyclecount.counting import (
@@ -27,6 +23,7 @@ from cyclecount.counting import (
     count_rooted,
 )
 from cyclecount.graph import codegree, nonadjacent_neighbor_pairs, triple_codegree
+from cyclecount.suites import E_LOWER
 
 
 def test_constants():
@@ -63,24 +60,6 @@ def test_global_bound_worked_example():
         assert abs(global_pg_bound(k, k) - PG_CONSTANT) < 1e-12
 
 
-def test_relaxed_vertex_bound_maximizer():
-    # d (n-d)^(k-3) style product peaks at d* = 2n/(k-1)
-    n, k = 30, 7
-    dstar = 2 * n / (k - 1)
-    peak = vertex_bound_relaxed(n, k, dstar)
-    assert abs(peak - 2 * (n / (k - 1)) ** (k - 1)) < 1e-8
-    for d in (dstar - 0.5, dstar + 0.5, 1.0, n - 1.0):
-        assert vertex_bound_relaxed(n, k, d) <= peak + 1e-12
-    # relaxed dominates the exact form at integer degrees
-    for d in range(n):
-        assert vertex_bound(n, k, d) <= vertex_bound_relaxed(n, k, d) + 1e-12
-    # and the peak itself sits below 2e n^(k-1)/k^(k-1)
-    chain_top = 2 * math.e * n ** (k - 1) / k ** (k - 1)
-    assert peak <= chain_top
-    for d in range(n):
-        assert vertex_bound(n, k, d) <= chain_top * (1 + 1e-12)
-
-
 @given(
     st.integers(min_value=9, max_value=14),
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -91,13 +70,13 @@ def test_bounds_hold_on_random_graphs(n, seed, k):
     if k > g.n:
         return
     rep = count_fast(g, k, rooted=True)
-    assert rep.total <= global_pg_bound(g.n, k) * (1 + REL_EPS)
+    assert Fraction(rep.total) / (2 * Fraction(g.n, k) ** k) <= E_LOWER
     for v in range(g.n):
-        assert rep.rooted[v] <= vertex_bound(g.n, k, g.degree(v)) * (1 + REL_EPS)
+        assert rep.rooted[v] <= vertex_bound(g.n, k, g.degree(v))
         if k >= 5:
             for w in g.neighbors(v):
                 b = edge_bound(g.n, k, g.degree(v), g.degree(w), codegree(g, v, w))
-                assert count_edge_rooted(g, k, v, w) <= b * (1 + REL_EPS)
+                assert count_edge_rooted(g, k, v, w) <= b
         if k >= 6:
             for u, w in nonadjacent_neighbor_pairs(g, v):
                 b = cherry_bound(
@@ -105,7 +84,7 @@ def test_bounds_hold_on_random_graphs(n, seed, k):
                     codegree(g, u, v), codegree(g, v, w), codegree(g, u, w),
                     triple_codegree(g, u, v, w),
                 )
-                assert count_cherry_rooted(g, k, u, v, w) <= b * (1 + REL_EPS)
+                assert count_cherry_rooted(g, k, u, v, w) <= b
 
 
 def test_petersen_vertex_bound():
@@ -134,40 +113,3 @@ def test_cherry_bound_rejects_negative_terms():
         cherry_bound(10, 6, 1, 5, 1, 1, 1, 1, 0)
     with pytest.raises(ValueError, match="ground"):
         cherry_bound(6, 6, 5, 5, 5, 2, 2, 2, 0)
-
-
-def test_inducibility_bracket():
-    lo, hi = inducibility_bracket(5)
-    assert lo == Fraction(1, 26)
-    assert math.isclose(hi, RATIO_UPPER * 120 / 3125, rel_tol=1e-15)
-    assert float(lo) < hi
-    for k in (5, 6, 7, 9):
-        lo, hi = inducibility_bracket(k)
-        fact = math.factorial(k)
-        assert lo == Fraction(fact, k**k - k)
-        assert math.isclose(hi / (fact / k**k), RATIO_UPPER, rel_tol=1e-12)
-        assert float(lo) < hi
-    # upper/lower = RATIO_UPPER * (1 - k^(1-k)): converges fast from below
-    lo10, hi10 = inducibility_bracket(10)
-    ratio = hi10 / float(lo10)
-    assert abs(ratio - RATIO_UPPER) / RATIO_UPPER < 0.01
-    assert math.isclose(ratio / (1 - 10 ** (1 - 10)), RATIO_UPPER, rel_tol=1e-9)
-    with pytest.raises(ValueError):
-        inducibility_bracket(4)
-
-
-def test_density_sequence():
-    rep = density_sequence(4, {4: 1, 5: 3, 6: 9, 7: 18})
-    assert rep.densities == [
-        (4, Fraction(1, 1)),
-        (5, Fraction(3, 5)),
-        (6, Fraction(3, 5)),
-        (7, Fraction(18, 35)),
-    ]
-    assert rep.monotone and rep.violations == []
-    bad = density_sequence(4, {4: 1, 5: 6})
-    assert not bad.monotone and bad.violations == [5]
-    with pytest.raises(ValueError):
-        density_sequence(4, {4: 1, 6: 9})
-    with pytest.raises(ValueError):
-        density_sequence(5, {4: 1, 5: 1})

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from cyclecount import cli, constructions, search
+from cyclecount import cli, constructions, io, search, suites
 from cyclecount.constructions import petersen, random_graph
+from cyclecount.counting import count_rooted
 from cyclecount.io import to_graph6
 
 
@@ -176,6 +178,24 @@ def test_verify_analytic_exit_zero(capsys):
     assert code == 0
     assert payload["report"]["passed"] is True
     assert "suite analytic: ok" in err
+
+
+def test_verify_bounds_failure_still_reports(capsys, monkeypatch):
+    # a vertex ceiling one unit low is violated; the violations, with their
+    # rational ceilings, must still make one JSON report and exit 1
+    real = suites.vertex_bound
+    monkeypatch.setattr(suites, "vertex_bound", lambda n, k, d: real(n, k, d) - 1)
+    code, payload, err = run_cli(capsys, "verify", "--suite", "bounds")
+    assert code == 1
+    assert "suite bounds: FAILED" in err
+    (check,) = payload["report"]["suites"][0]["checks"]
+    assert check["passed"] is False and check["violations"]
+    name, k, where, count, ceiling, witness = next(
+        v for v in check["violations"] if v[2].startswith("vertex@")
+    )
+    assert Fraction(ceiling) < count
+    g = io.from_graph6(witness)
+    assert count_rooted(g, k, int(where.removeprefix("vertex@"))) == count
 
 
 def test_construct_round_trip(capsys):

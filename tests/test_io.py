@@ -83,6 +83,15 @@ def test_graph6_rejection_messages(text, message):
         io.from_graph6(text)
 
 
+def test_graph6_refuses_order_before_reading_body():
+    # a long-form header for n = 65,537 and no body: the order is refused
+    # as soon as it is read, before the body length is looked at
+    n = 65_537
+    header = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    with pytest.raises(ValueError, match="outside"):
+        io.from_graph6(header)
+
+
 def test_graph6_rejects_garbage():
     with pytest.raises(ValueError):
         io.from_graph6("")

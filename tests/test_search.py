@@ -3,7 +3,7 @@
 import functools
 import os
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import networkx as nx
 import pytest
@@ -11,19 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecount import search
-from cyclecount.bounds import inducibility_bracket
 from cyclecount.constructions import random_graph
 from cyclecount.counting import count_oracle, symmetrise
 from cyclecount.graph import Graph, from_edge_list
 from cyclecount.io import from_graph6
-from cyclecount.search import (
-    _canonical,
-    _extend,
-    _toggle_edge,
-    exhaustive_max,
-    local_search_max,
-    monotonicity_report,
-)
+from cyclecount.search import _toggle_edge, exhaustive_max, local_search_max
+
+from graph_classes import all_classes
 
 SLOW = os.environ.get("CYCLECOUNT_RUN_SLOW") == "1"
 
@@ -77,22 +71,8 @@ def _nx_graph(g6):
 
 
 @functools.cache
-def _all_classes(m: int) -> tuple[tuple[int, ...], ...]:
-    """The full level sweep the search no longer runs: one canonical
-    representative per class of m-vertex graphs, from every (m - 1)-vertex
-    class extended by a vertex with every neighborhood."""
-    if m == 1:
-        return ((0,),)
-    return tuple(sorted({
-        _canonical(_extend(rows, s))
-        for rows in _all_classes(m - 1)
-        for s in range(1 << (m - 1))
-    }))
-
-
-@functools.cache
 def _oracle_counts(m: int, k: int) -> dict[tuple[int, ...], int]:
-    return {rows: count_oracle(Graph(m, rows), k).total for rows in _all_classes(m)}
+    return {rows: count_oracle(Graph(m, rows), k).total for rows in all_classes(m)}
 
 
 def _assert_levels_add_up(r):
@@ -162,7 +142,7 @@ def test_exhaustive_matches_graph_atlas():
     for h in nx.graph_atlas_g()[1:]:
         atlas.setdefault(h.number_of_nodes(), []).append(h)
     for n in range(1, 8):
-        assert len(atlas[n]) == len(_all_classes(n)) == CLASS_COUNTS[n]
+        assert len(atlas[n]) == len(all_classes(n)) == CLASS_COUNTS[n]
         graphs = [from_edge_list(n, h.edges()) for h in atlas[n]]
         for k in range(3, n + 1):
             r = exhaustive_max(n, k)
@@ -232,16 +212,21 @@ def test_exhaustive_dominates_constructed_candidates():
 def test_monotonicity_of_max_density():
     # every density sits at or above the balanced blow-up feasible point and
     # at or above the limit it decreases to: 3/8 for k = 4 (complete
-    # bipartite graphs), the lower end of the bracket for k >= 5
+    # bipartite graphs), the iterated blow-up's k!/(k^k - k) for k >= 5
     from cyclecount.constructions import balanced_part_sizes, blow_up, cycle
     from cyclecount.counting import count_fast
 
     for k in (4, 5, 6):
-        rep = monotonicity_report(k, 10)
-        assert rep.monotone, rep.violations
-        assert [n for n, _ in rep.densities] == list(range(k, 11))
-        floor = Fraction(3, 8) if k == 4 else inducibility_bracket(k)[0]
-        for n, dens in rep.densities:
+        densities = [
+            (n, Fraction(exhaustive_max(n, k).best_count, comb(n, k)))
+            for n in range(k, 11)
+        ]
+        rises = [n for (_, before), (n, dens) in zip(densities, densities[1:])
+                 if dens > before]
+        assert not rises, rises
+        assert [n for n, _ in densities] == list(range(k, 11))
+        floor = Fraction(3, 8) if k == 4 else Fraction(factorial(k), k**k - k)
+        for n, dens in densities:
             feasible = count_fast(blow_up(cycle(k), balanced_part_sizes(n, k)), k)
             assert dens >= Fraction(feasible.total, comb(n, k))
             assert dens >= floor, (k, n)
