@@ -1,12 +1,11 @@
-"""Closed-form ceilings for rooted induced k-cycle counts and the global
-count.
+"""Closed-form ceilings for rooted induced k-cycle counts.
 
 The vertex, edge and cherry ceilings take integer degree data and return
 the exact `Fraction`, so a count is compared with them in rational
-arithmetic. The global ceiling 2e (n/k)^k and the headline constant 128e/81
-contain e; a count is checked against e times a rational r only as
-count / r <= a float proved to be at most e (the lower end of an interval
-enclosure), never against a rounded float product.
+arithmetic. The headline constant 128e/81 and the global ceiling
+2e (n/k)^k contain e; the suites check a count against e times a rational
+r only as count / r <= a float proved to be at most e (the lower end of an
+interval enclosure), never against a rounded float product.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 from fractions import Fraction
 
 RATIO_UPPER = 128 * math.e / 81   # headline per-vertex constant, ~4.295553
-PG_CONSTANT = 2 * math.e          # global constant, ~5.436564
 
 
 def vertex_bound(n: int, k: int, d: int) -> Fraction:
@@ -58,13 +56,3 @@ def cherry_bound(n: int, k: int, d_u: int, d_v: int, d_w: int,
     if ground < 0:
         raise ValueError("negative inclusion-exclusion term: inconsistent ground set")
     return Fraction(left * right * ground ** (k - 5), (k - 5) ** (k - 5))
-
-
-def global_pg_bound(n: int, k: int) -> float:
-    """Global ceiling 2e (n/k)^k on the induced k-cycle count (n >= k >= 4),
-    rounded to a float; the suites check counts against its rational part."""
-    if k < 4:
-        raise ValueError(f"global bound needs k >= 4, got {k}")
-    if n < k:
-        raise ValueError(f"need n >= k, got n={n}, k={k}")
-    return PG_CONSTANT * (n / k) ** k

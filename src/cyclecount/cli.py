@@ -26,7 +26,7 @@ from .constructions import (
     petersen,
     random_graph,
 )
-from .counting import count_fast, count_oracle, count_rooted
+from .counting import _check_vertices, count_fast, count_oracle, count_rooted
 from .graph import Graph
 from .search import exhaustive_max, local_search_max
 from .suites import run_suites
@@ -101,7 +101,7 @@ def _emit(manifest: dict, report: dict, out_path: str | None) -> None:
 
 def _get_graph(args, seed: int | None) -> tuple[Graph, dict]:
     if bool(args.input) == bool(args.construct):
-        raise SystemExit("exactly one of --input and --construct is required")
+        raise ValueError("exactly one of --input and --construct is required")
     if args.input:
         return _load_input(args.input)
     return parse_construct(args.construct, seed), {}
@@ -112,7 +112,7 @@ def cmd_count(args, manifest: dict) -> int:
     t0 = time.perf_counter()
     every_root = args.roots == "all"
     if args.mode == "oracle":
-        report = count_oracle(g, args.k, rooted=every_root)
+        report = count_oracle(g, args.k, rooted=bool(args.roots))
     else:
         report = count_fast(g, args.k, rooted=every_root, threads=args.threads)
     payload = report.to_json_dict()
@@ -121,8 +121,17 @@ def cmd_count(args, manifest: dict) -> int:
     payload["mode"] = args.mode
     payload["runtime_ms"] = (time.perf_counter() - t0) * 1000
     if args.roots and not every_root:
-        roots = [int(t) for t in args.roots.split(",")]
-        payload["rooted"] = {str(v): count_rooted(g, args.k, v) for v in roots}
+        try:
+            roots = [int(t) for t in args.roots.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--roots takes 'all' or comma-separated vertices, got {args.roots!r}"
+            ) from None
+        _check_vertices(g, *roots)
+        payload["rooted"] = {
+            str(v): report.rooted[v] if args.mode == "oracle" else count_rooted(g, args.k, v)
+            for v in roots
+        }
     if args.check:
         other = count_oracle(g, args.k) if args.mode == "fast" else count_fast(g, args.k)
         payload["check_total"] = other.total

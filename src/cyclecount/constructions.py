@@ -35,34 +35,36 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [mask_b] * a + [mask_a] * b)
 
 
-def blow_up(base: Graph, part_sizes) -> Graph:
-    """Replace vertex i of base by an independent set of part_sizes[i]
-    vertices; parts of adjacent base vertices are completely joined.
+def blow_up(base: Graph, parts) -> Graph:
+    """Replace vertex i of base by parts[i]: a size t, which stands for an
+    independent set of t vertices, or a Graph, which keeps its own edges
+    inside its block. Parts of adjacent base vertices are completely joined.
 
-    Parts are laid out contiguously in base-vertex order, so part i occupies
-    indices sum(sizes[:i]) .. sum(sizes[:i+1])-1.
+    Parts are laid out contiguously in base-vertex order: part i occupies
+    the indices just after those of parts 0..i-1.
     """
-    sizes = list(part_sizes)
-    if len(sizes) != base.n:
-        raise ValueError(f"need {base.n} part sizes, got {len(sizes)}")
+    parts = list(parts)
+    if len(parts) != base.n:
+        raise ValueError(f"need {base.n} parts, got {len(parts)}")
+    sizes = [part if isinstance(part, int) else part.n for part in parts]
     if any(t < 1 for t in sizes):
         raise ValueError("every part needs at least one vertex")
     _check_order(sum(sizes))
-    offsets = [0]
-    for t in sizes:
-        offsets.append(offsets[-1] + t)
-    n = offsets[-1]
-    part_mask = [((1 << sizes[i]) - 1) << offsets[i] for i in range(base.n)]
+    offsets = [0, *itertools.accumulate(sizes)]
+    part_mask = [((1 << t) - 1) << offset for t, offset in zip(sizes, offsets)]
     rows = []
-    for i in range(base.n):
-        row = 0
+    for i, part in enumerate(parts):
+        join = 0
         nbrs = base.rows[i]
         while nbrs:
             low = nbrs & -nbrs
             nbrs ^= low
-            row |= part_mask[low.bit_length() - 1]
-        rows.extend([row] * sizes[i])
-    return Graph(n, rows)
+            join |= part_mask[low.bit_length() - 1]
+        if isinstance(part, int):
+            rows.extend([join] * part)
+        else:
+            rows.extend([(row << offsets[i]) | join for row in part.rows])
+    return Graph(offsets[-1], rows)
 
 
 def balanced_part_sizes(n: int, k: int) -> list[int]:
@@ -85,26 +87,10 @@ def iterated_blow_up(base: Graph, depth: int) -> Graph:
     if base.n < 3 or not is_induced_cycle(base, range(base.n)):
         raise ValueError("iterated blow-up is defined over a cycle base")
     _check_order(base.n ** min(depth, 17))  # 3**17 > MAX_VERTICES already
-    if depth == 1:
-        return base
-    sub = iterated_blow_up(base, depth - 1)
-    k = base.n
-    n_sub = sub.n
-    n = k * n_sub
-    sub_full = (1 << n_sub) - 1
-    part_mask = [sub_full << (p * n_sub) for p in range(k)]
-    rows = []
-    for p in range(k):
-        join = 0
-        nbrs = base.rows[p]
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            join |= part_mask[low.bit_length() - 1]
-        shift = p * n_sub
-        for v in range(n_sub):
-            rows.append((sub.rows[v] << shift) | join)
-    return Graph(n, rows)
+    g = base
+    for _ in range(depth - 1):
+        g = blow_up(base, [g] * base.n)
+    return g
 
 
 def iterated_blowup_cycle_count(k: int, depth: int) -> int:

@@ -100,21 +100,17 @@ def identities_suite() -> dict:
 
     sym_fail = []
     graphs = random_instances((SYMMETRISE_SAMPLES + 9) // 10, 8, 12, SYMMETRISE_SEED)
-    done = 0
-    gi = 0
-    while done < SYMMETRISE_SAMPLES:
-        name, g = graphs[gi % len(graphs)]
-        k = (5, 6)[done % 2]
-        v_minus = done % g.n
-        v_plus = (done * 7 + 3) % g.n
+    for i in range(SYMMETRISE_SAMPLES):
+        name, g = graphs[i % len(graphs)]
+        k = (5, 6)[i % 2]
+        v_minus = i % g.n
+        v_plus = (i * 7 + 3) % g.n
         if v_minus == v_plus:
             v_plus = (v_plus + 1) % g.n
         lhs = count_fast(symmetrise(g, v_minus, v_plus), k).total
         rhs = _twin_update(g, k, v_minus, v_plus)
         if lhs != rhs:
             sym_fail.append((name, k, v_minus, v_plus, lhs, rhs))
-        done += 1
-        gi += 1
     checks.append({
         "name": "symmetrise_identity_k_ge_5",
         "passed": not sym_fail,

@@ -13,6 +13,8 @@ check reads.
 import contextlib
 import io
 import json
+import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +22,8 @@ import pytest
 
 from cyclecount import cli
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402
 
 # operations named so are checked only for the keys their check reads
@@ -48,3 +51,47 @@ def test_every_op_gives_one_checked_report(workload, tmp_path):
         if "--roots" in op.argv:
             n = workloads.ROOTS_ALL[0]
             assert sorted(report["rooted"], key=int) == [str(v) for v in range(n)]
+
+
+# One small operation of each kind the traced benchmark runs.
+TRACED_OPS = [
+    ["count", "--construct", "petersen", "--k", "5"],
+    ["verify", "--suite", "headline"],
+    ["search", "--n", "6", "--k", "5"],
+    ["search", "--n", "10", "--k", "5", "--mode", "local", "--budget", "50"],
+]
+
+# Runs in a fresh interpreter, since the tracer rebinds module functions for
+# the whole process; prints the per-layer metrics (and the pool speedup,
+# while perfbench/run.py measures one) as one JSON object.
+TRACED_SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+from cyclecount import cli
+import run, tracer
+
+extra = {{}}
+if hasattr(run, "pool_speedup"):
+    extra["counting.pool_speedup"] = run.pool_speedup(1)
+trace = tracer.Tracer()
+trace.install()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in {ops!r}:
+        assert cli.main(argv) == 0, argv
+print(json.dumps({{**tracer.layer_metrics(trace.take()), **extra}}))
+"""
+
+
+def test_traced_ops_give_finite_layer_metrics():
+    # a traced metric that comes out null or non-finite leaves the
+    # benchmark's result without a number for it
+    script = TRACED_SCRIPT.format(perfbench=str(PERFBENCH), ops=TRACED_OPS,
+                                  src=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    bad = {name: value for name, value in metrics.items()
+           if isinstance(value, bool) or not isinstance(value, (int, float))
+           or not math.isfinite(value)}
+    assert metrics and not bad

@@ -8,11 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclecount.bounds import (
-    PG_CONSTANT,
     RATIO_UPPER,
     cherry_bound,
     edge_bound,
-    global_pg_bound,
     vertex_bound,
 )
 from cyclecount.constructions import cycle, petersen, random_graph
@@ -28,7 +26,6 @@ from cyclecount.suites import E_LOWER
 
 def test_constants():
     assert RATIO_UPPER == 128 * math.e / 81
-    assert PG_CONSTANT == 2 * math.e
     assert 4.2955 < RATIO_UPPER < 4.2956
 
 
@@ -52,12 +49,6 @@ def test_cherry_bound_worked_example():
     assert cherry_bound(7, 7, 2, 2, 2, 0, 0, 0, 0) == 1.0
     assert count_cherry_rooted(cycle(7), 7, 6, 0, 1) == 1
     assert cherry_bound(10, 6, 2, 3, 4, 1, 0, 1, 0) == 0.0  # first factor 0
-
-
-def test_global_bound_worked_example():
-    assert abs(global_pg_bound(10, 5) - 64 * math.e) < 1e-9
-    for k in (4, 5, 8):
-        assert abs(global_pg_bound(k, k) - PG_CONSTANT) < 1e-12
 
 
 @given(
@@ -104,8 +95,6 @@ def test_bound_argument_validation():
         edge_bound(6, 6, 2, 2, 3)  # codegree above min degree
     with pytest.raises(ValueError):
         cherry_bound(7, 5, 2, 2, 2, 0, 0, 0, 0)  # needs k >= 6
-    with pytest.raises(ValueError):
-        global_pg_bound(4, 5)
 
 
 def test_cherry_bound_rejects_negative_terms():

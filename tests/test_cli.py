@@ -1,13 +1,17 @@
 """CLI behavior: JSON reports on stdout, summaries on stderr, exit codes."""
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -133,8 +137,41 @@ def test_count_refuses_an_edge_listed_twice(capsys, tmp_path, second):
 
 
 def test_count_needs_exactly_one_source(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["count", "--k", "5"])
+    for sources in [(), ("--construct", "petersen", "--input", "pet.g6")]:
+        code, payload, err = run_cli(capsys, "count", "--k", "5", *sources)
+        assert code == 1 and payload is None
+        assert err == "error: exactly one of --input and --construct is required\n"
+
+
+def test_oracle_roots_list_takes_its_tallies_from_the_oracle(capsys, monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("oracle mode asked the kernel")
+
+    monkeypatch.setattr(cli, "count_rooted", kernel)
+    monkeypatch.setattr(cli, "count_fast", kernel)
+    golden = GOLDEN["count_roots_list"]["payload"]["report"]
+    code, payload, _ = run_cli(
+        capsys, "count", "--construct", "random:12,0.4", "--seed", "7", "--k", "5",
+        "--mode", "oracle", "--roots", "0,3",
+    )
+    assert code == 0
+    assert payload["report"]["rooted"] == golden["rooted"]
+    assert payload["report"]["total"] == golden["total"]
+
+
+@pytest.mark.parametrize("mode", ["fast", "oracle"])
+@pytest.mark.parametrize("roots, message", [
+    ("0,12", "error: vertex 12 leaves 0..11"),
+    ("-1", "error: vertex -1 leaves 0..11"),
+    (",", "error: --roots takes 'all' or comma-separated vertices, got ','"),
+])
+def test_bad_roots_are_clean_errors(capsys, mode, roots, message):
+    code, payload, err = run_cli(
+        capsys, "count", "--construct", "random:12,0.4", "--seed", "7", "--k", "5",
+        "--mode", mode, "--roots", roots,
+    )
+    assert code == 1 and payload is None
+    assert err == message + "\n"
 
 
 def test_search_exhaustive(capsys):
@@ -323,3 +360,137 @@ def test_payload_matches_recorded_report(capsys, tmp_path, name):
         for key, digest in manifest["input_digest"].items()
     }
     assert payload == GOLDEN[name]["payload"]
+
+
+# Pieces the CLI fuzz below assembles into arguments and input files. Every
+# graph they can build has at most 64 vertices and few enough induced cycles
+# to count at once, or is refused for its order; "1000000" stays out of
+# range when a digit is dropped.
+BIG = "1000000"
+INTS = ["-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", BIG, str(2**64), "x", ""]
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+@st.composite
+def construct_specs(draw):
+    """A spec of each kind, then maybe cut short or edited by one character."""
+    small = st.sampled_from(["-1", "0", "1", "2", "3", "4", BIG, "x", ""])
+    base = st.sampled_from(["C3", "C4", "C5", "C6", "C2", "5", "C", "C" + BIG])
+    order = st.sampled_from(["1", "2", "8", "16", "0", "-1", BIG])
+    prob = st.sampled_from(["0", "0.5", "1", "1/3", "1/0", "2", "nan", "-0.1"])
+    spec = draw(st.one_of(
+        order.map("cycle:{}".format),
+        st.tuples(small, small).map("kbipartite:{0[0]},{0[1]}".format),
+        st.tuples(base, small).map("blowup:{0[0]}:{0[1]}".format),
+        st.tuples(base, st.sampled_from(["-1", "0", "1", "2", BIG, ""])).map(
+            "iterated-blowup:{0[0]}:depth={0[1]}".format),
+        st.tuples(order, prob).map("random:{0[0]},{0[1]}".format),
+        st.just("petersen"),
+    ))
+    at = draw(st.integers(0, len(spec)))
+    edit = draw(st.sampled_from(["keep", "keep", "cut", "insert", "drop"]))
+    if edit == "cut":
+        spec = spec[:at]
+    elif edit == "insert":
+        spec = spec[:at] + draw(st.sampled_from(":,=C-x ")) + spec[at:]
+    elif edit == "drop":
+        spec = spec[:at] + spec[at + 1:]
+    return spec
+
+
+@st.composite
+def graph6_bytes(draw):
+    """Random bytes, or a valid string maybe put in long form, truncated or
+    given a header or a stray first character."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=30))
+    n = draw(st.integers(1, 12))
+    text = to_graph6(random_graph(n, 0.5, draw(st.integers(0, 9))))
+    if draw(st.booleans()):
+        text = "~??" + chr(63 + n) + text[1:]
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    prefix = draw(st.sampled_from(["", "", "", ">>graph6<<", "~", "~~", "é", "\x00"]))
+    return (prefix + text).encode("utf-8")
+
+
+@st.composite
+def edge_list_bytes(draw):
+    """An edge list on 8 vertices with at most one fault: a loop, an edge
+    listed twice, an endpoint out of range, a malformed line, a wrong m or
+    a bad n."""
+    pairs = st.tuples(st.integers(0, 6), st.integers(1, 7)).filter(lambda e: e[0] < e[1])
+    edges = [f"{u} {w}" for u, w in draw(st.sets(pairs, max_size=12))]
+    n, m = "8", len(edges)
+    fault = draw(st.sampled_from(["none", "none", "loop", "twice", "range", "line", "m", "n"]))
+    if fault == "loop":
+        edges.append("3 3")
+    elif fault == "twice" and edges:
+        edges.append(" ".join(reversed(edges[0].split())))
+    elif fault == "range":
+        edges.append(draw(st.sampled_from(["0 8", "-1 2", f"0 {BIG}"])))
+    elif fault == "line":
+        edges.append(draw(st.sampled_from(["0", "0 1 2", "a b"])))
+    elif fault == "m":
+        m += draw(st.sampled_from([-1, 1]))
+    elif fault == "n":
+        n = draw(st.sampled_from(["0", "-1", "1", BIG, "x"]))
+    if fault in ("loop", "twice", "range", "line"):
+        m = len(edges)
+    return "\n".join([f"{n} {m}", *edges]).encode("ascii")
+
+
+@st.composite
+def cli_cases(draw):
+    """An argv list and the bytes of the file that {input} in it names."""
+    kind = draw(st.sampled_from(["construct", "count-construct", "count-input", "search"]))
+    data = b""
+    if kind == "construct":
+        argv = ["construct", "--construct", draw(construct_specs())]
+        argv += draw(_opt("--format", ["graph6", "edgelist", "dot"]))
+        argv += draw(_opt("--seed", INTS))
+    elif kind == "count-construct":
+        argv = ["count", "--construct", draw(construct_specs()), "--k", draw(st.sampled_from(INTS))]
+        argv += draw(_opt("--seed", INTS)) + draw(_opt("--threads", ["-1", "0", "1"]))
+        argv += draw(_opt("--roots", ["all", "0", "0,3", ",", "-1", "99", "x"]))
+    elif kind == "count-input":
+        data = draw(st.one_of(graph6_bytes(), edge_list_bytes()))
+        argv = ["count", "--k", draw(st.sampled_from(INTS)), *draw(st.sampled_from(
+            [["--input", "{input}"], [], ["--input", "{input}", "--construct", "petersen"]]
+        ))]
+        argv += draw(_opt("--mode", ["fast", "oracle"])) + draw(st.sampled_from([[], ["--check"]]))
+        argv += draw(_opt("--roots", ["all", "0,1", "-1", "99"]))
+    else:
+        n = draw(st.sampled_from(["-1", "0", "3", "4", "5", "6", "7", "x"]))
+        argv = ["search", "--n", n, "--k", draw(st.sampled_from(["-1", "0", "3", "4", "5", "6", "8"]))]
+        if draw(st.booleans()):
+            argv += ["--mode", "local", "--n", draw(st.sampled_from(["-1", "3", "4", "8", "12"]))]
+            argv += draw(_opt("--budget", ["-1", "0", "1", "50"])) + draw(_opt("--seed", ["-1", "0", "1"]))
+    return argv, data
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=cli_cases())
+def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
+    # every case exits 0 with one JSON document, exits 1 with exactly one
+    # error line and nothing on stdout, or is refused by argparse
+    argv, data = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_bytes(data)
+    argv = [str(path) if a == "{input}" else a for a in argv]
+    out, err = StringIO(), StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, (argv, data, err.getvalue())
+        return
+    if code == 0:
+        json.loads(out.getvalue())
+        return
+    lines = err.getvalue().splitlines()
+    assert code == 1 and not out.getvalue(), (argv, data, err.getvalue())
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, data, lines)

@@ -73,6 +73,31 @@ def test_blowup_rejects_bad_sizes():
         blow_up(cycle(5), [0, 1, 1, 1, 1])
 
 
+def test_blowup_keeps_the_edges_of_graph_parts():
+    base = cycle(4)
+    parts = [complete_graph(2), 1, cycle(3), petersen()]
+    g = blow_up(base, parts)
+    orders = [2, 1, 3, 10]
+    assert g.n == sum(orders)
+    # vertex v of the blow-up is vertex v - start[i] of part i
+    where = [(i, x) for i, size in enumerate(orders) for x in range(size)]
+    for v in range(g.n):
+        for w in range(g.n):
+            (i, x), (j, y) = where[v], where[w]
+            if i != j:
+                want = base.has_edge(i, j)
+            else:
+                want = not isinstance(parts[i], int) and parts[i].has_edge(x, y)
+            assert g.has_edge(v, w) == want, (v, w)
+
+
+def test_blowup_of_graph_parts_is_one_iteration():
+    c5 = cycle(5)
+    assert blow_up(c5, [c5] * 5) == iterated_blow_up(c5, 2)
+    assert blow_up(c5, [iterated_blow_up(c5, 2)] * 5) == iterated_blow_up(c5, 3)
+    assert blow_up(c5, [complete_graph(1), 2, 1, 2, 1]) == blow_up(c5, [1, 2, 1, 2, 1])
+
+
 def test_balanced_part_sizes():
     assert balanced_part_sizes(11, 5) == [3, 2, 2, 2, 2]
     assert balanced_part_sizes(10, 5) == [2, 2, 2, 2, 2]
