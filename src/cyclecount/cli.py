@@ -36,48 +36,43 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z"
 
 
-def _parse_probability(text: str) -> float:
-    if "/" in text:
-        try:
-            return float(Fraction(text))
-        except ZeroDivisionError:
-            raise ValueError(f"probability {text!r} divides by zero") from None
-    return float(text)
-
-
 def parse_construct(spec: str, seed: int | None = None) -> Graph:
     """Build a graph from the construct mini-language.
 
     cycle:K | kbipartite:A,B | blowup:CK:t | iterated-blowup:CK:depth=M |
     random:N,P | petersen
+
+    P is a decimal or a fraction A/B. A spec whose shape or numbers do not
+    parse is refused as a whole; the builders' own errors (an order or a
+    depth out of range) keep their text.
     """
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *fields = spec.split(":")
+    shape = (kind, len(fields))
     try:
-        if kind == "cycle" and len(parts) == 2:
-            return cycle(int(parts[1]))
-        if kind == "kbipartite" and len(parts) == 2:
-            a, b = (int(t) for t in parts[1].split(","))
-            return complete_bipartite(a, b)
-        if kind == "blowup" and len(parts) == 3:
-            base_k = int(parts[1].removeprefix("C"))
-            return blow_up(cycle(base_k), [int(parts[2])] * base_k)
-        if kind == "iterated-blowup" and len(parts) == 3:
-            base_k = int(parts[1].removeprefix("C"))
-            if not parts[2].startswith("depth="):
-                raise ValueError
-            return iterated_blow_up(cycle(base_k), int(parts[2].removeprefix("depth=")))
-        if kind == "random" and len(parts) == 2:
-            n_text, p_text = parts[1].split(",")
-            if seed is None:
-                raise ValueError("random construct needs --seed")
-            return random_graph(int(n_text), _parse_probability(p_text), seed)
-        if kind == "petersen" and len(parts) == 1:
-            return petersen()
-    except ValueError as exc:
-        if str(exc):
-            raise
-    raise ValueError(f"cannot parse construct spec {spec!r}")
+        if shape == ("cycle", 1):
+            build, args = cycle, [int(fields[0])]
+        elif shape == ("kbipartite", 1):
+            a, b = fields[0].split(",")
+            build, args = complete_bipartite, [int(a), int(b)]
+        elif shape == ("blowup", 2):
+            build = lambda base_k, t: blow_up(cycle(base_k), [t] * base_k)
+            args = [int(fields[0].removeprefix("C")), int(fields[1])]
+        elif shape == ("iterated-blowup", 2) and fields[1].startswith("depth="):
+            build = lambda base_k, depth: iterated_blow_up(cycle(base_k), depth)
+            args = [int(fields[0].removeprefix("C")), int(fields[1].removeprefix("depth="))]
+        elif shape == ("random", 1):
+            n_text, p_text = fields[0].split(",")
+            p = float(Fraction(p_text)) if "/" in p_text else float(p_text)
+            build, args = random_graph, [int(n_text), p, seed]
+        elif shape == ("petersen", 0):
+            build, args = petersen, []
+        else:
+            raise ValueError
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse construct spec {spec!r}") from None
+    if build is random_graph and seed is None:
+        raise ValueError("random construct needs --seed")
+    return build(*args)
 
 
 def _load_input(path: str) -> tuple[Graph, dict]:

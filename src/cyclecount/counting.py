@@ -14,13 +14,15 @@ requiring the second vertex to carry a smaller label than the closing one, so
 every induced k-cycle is generated exactly once. With rooted=True the same
 pass credits vertices at closure (each path vertex with the completions below
 it, each closing vertex with one), which yields the whole per-vertex vector in
-one canonical pass. `count_rooted` and `count_containing_pair` pin the root
-instead, the latter with a vertex that must join the path; the edge and
-cherry counts start from a pinned two- or three-vertex path. `cycles_through`
-runs the crediting loop from a pinned root, optionally with a vertex that
-must join: it tallies, vertex by vertex, the cycles through one vertex or one
-pair, which is exactly what a change of the edges there can alter, so local
-search keeps its per-vertex vector up to date from two such walks per move.
+one canonical pass. `count_rooted` pins the root instead; the edge and
+cherry counts start from a pinned two- or three-vertex path.
+`count_containing_pair` walks each cycle through v and w once, from the side
+on which w is nearer to v: a prefix v, ..., w of at most k // 2 edges, then
+the walk from w closes the other side. `cycles_through` runs the crediting
+loop from a pinned root, or along the same pair walk when w is given: it
+tallies, vertex by vertex, the cycles through one vertex or one pair, which
+is exactly what a change of the edges there can alter, so local search moves
+its per-vertex vector by two such walks per accepted move.
 
 Two checks stay independent of the crediting loop: the subset oracle
 `count_oracle`, and the pinned-root total-only enumeration behind
@@ -119,7 +121,7 @@ def count_oracle(g: Graph, k: int, rooted: bool = False) -> CountReport:
     return report
 
 
-def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
+def _walk(adj, ncl, cand, fk, ck, last, credit=None) -> int:
     """Count the induced completions of partial cycle paths back to their root.
 
     The walk runs an explicit stack of levels. A level holds `cand`, the
@@ -134,20 +136,12 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
     candidate of level 0, with the masks of the path before it; for last = 0
     that tip is itself penultimate.
 
-    wbit: if nonzero, one vertex that must still join the path. It is needed
-    at a level exactly while it lies in fk | ck, and once it is a neighbor of
-    the chosen vertex it must come next.
     credit: if a list, each path vertex is credited with the completions
-    below it and each closing vertex with one per closure; wbit restricts
-    the crediting loop exactly as it does the total-only one.
+    below it and each closing vertex with one per closure.
     """
-    if wbit and not wbit & (fk | ck):
-        return 0
     if last == 0:
         u = cand.bit_length() - 1
         closers = adj[u] & ck
-        if wbit:
-            closers &= wbit
         total = closers.bit_count()
         if credit is not None and total:
             credit[u] += total
@@ -167,14 +161,10 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
                 cand ^= low
                 u = low.bit_length() - 1
                 nxt = adj[u] & fk
-                if wbit and wbit & (fk | ck) and wbit & adj[u]:
-                    nxt &= wbit
                 nu = ncl[u]
                 nck = ck & nu
                 if nxt and nck:
                     if level == pen:
-                        if wbit and wbit & ((fk & nu) | nck):
-                            nck &= wbit
                         while nck:
                             low = nck & -nck
                             nck ^= low
@@ -196,14 +186,10 @@ def _walk(adj, ncl, cand, fk, ck, last, wbit=0, credit=None) -> int:
             cand ^= low
             u = low.bit_length() - 1
             nxt = adj[u] & fk
-            if wbit and wbit & (fk | ck) and wbit & adj[u]:
-                nxt &= wbit
             nu = ncl[u]
             nck = ck & nu
             if nxt and nck:
                 if level == pen:
-                    if wbit and wbit & ((fk & nu) | nck):
-                        nck &= wbit
                     sub = 0
                     while nck:
                         low = nck & -nck
@@ -240,7 +226,7 @@ def _check_vertices(g: Graph, *vertices: int) -> None:
             raise ValueError(f"vertex {v} leaves 0..{g.n - 1}")
 
 
-def _through_root(adj, ncl, nbrs, free, k: int, wbit: int = 0, credit=None) -> int:
+def _through_root(adj, ncl, nbrs, free, k: int, credit=None) -> int:
     """Induced k-cycles through a root whose other vertices lie in
     nbrs | free, where nbrs are the root's neighbors there and free its
     non-neighbors; the root lies in neither. Direction is broken by second
@@ -258,12 +244,11 @@ def _through_root(adj, ncl, nbrs, free, k: int, wbit: int = 0, credit=None) -> i
         cand ^= low
         close = nbrs & -(low << 1)
         if close:
-            through += _walk(adj, ncl, low, free, close, k - 3, wbit & ~low, credit)
+            through += _walk(adj, ncl, low, free, close, k - 3, credit)
     return through
 
 
-def _count_roots(g: Graph, k: int, roots, canonical: bool, wbit: int = 0,
-                 credit=None) -> int:
+def _count_roots(g: Graph, k: int, roots, canonical: bool, credit=None) -> int:
     """Induced k-cycles through each root, summed over `roots`.
 
     canonical restricts every other vertex to labels above the root, so each
@@ -277,10 +262,74 @@ def _count_roots(g: Graph, k: int, roots, canonical: bool, wbit: int = 0,
     for root in roots:
         allowed = full & -(2 << root) if canonical else full
         through = _through_root(adj, ncl, adj[root] & allowed, allowed & ncl[root], k,
-                                wbit, credit)
+                                credit)
         if credit is not None:
             credit[root] += through
         total += through
+    return total
+
+
+def _through_pair(g: Graph, k: int, v: int, w: int, credit=None) -> int:
+    """Induced k-cycles through both v and w, each walked once, from the
+    side on which w is nearer to v.
+
+    If w is a neighbor of v it is the second vertex and every other neighbor
+    of v may close, as in count_edge_rooted. Otherwise the prefix v, v1, ...,
+    w of at most k // 2 edges is enumerated in either orientation: w is
+    forced as the next vertex once it is a neighbor of the tip, and must
+    come next at depth k // 2. The walk from w then closes the longer side.
+    When both sides have k / 2 edges, v1 < closing vertex breaks the tie.
+    With credit, v and the prefix vertices are credited too.
+    """
+    adj = g.rows
+    ncl = g._open_masks()
+    nbrs = adj[v]
+    wbit = 1 << w
+    fk = ((1 << g.n) - 1) & ncl[v]
+    if nbrs & wbit:
+        total = _walk(adj, ncl, wbit, fk, nbrs, k - 3, credit)
+    elif k == 3:
+        return 0
+    else:
+        # level `depth` picks the prefix vertex depth edges from v; fk and ck
+        # exclude the closed neighborhoods of the vertices before it
+        total = 0
+        half = k // 2
+        cand, ck, depth = nbrs, nbrs, 1
+        stack = []
+        while True:
+            if cand:
+                low = cand & -cand
+                cand ^= low
+                if depth == 1:
+                    above = -(low << 1)
+                x = low.bit_length() - 1
+                nxt = adj[x] & fk
+                nu = ncl[x]
+                nck = ck & nu
+                if nxt & wbit:
+                    if 2 * depth + 2 == k:
+                        nck &= above
+                    if nck:
+                        sub = _walk(adj, ncl, wbit, fk & nu, nck, k - 3 - depth, credit)
+                        total += sub
+                        if credit is not None:
+                            credit[x] += sub
+                elif depth + 1 < half and nxt and nck:
+                    stack.append((cand, fk, ck, x, total))
+                    cand = nxt
+                    fk &= nu
+                    ck = nck
+                    depth += 1
+            elif stack:
+                cand, fk, ck, x, before = stack.pop()
+                if credit is not None:
+                    credit[x] += total - before
+                depth -= 1
+            else:
+                break
+    if credit is not None:
+        credit[v] += total
     return total
 
 
@@ -372,7 +421,7 @@ def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
         raise ValueError("pair count needs two distinct vertices")
     _check_k(g, k)
     _check_vertices(g, v, w)
-    return _count_roots(g, k, [v], False, wbit=1 << w)
+    return _through_pair(g, k, v, w)
 
 
 def cycles_through(g: Graph, k: int, v: int, w: int | None = None) -> list[int]:
@@ -380,21 +429,21 @@ def cycles_through(g: Graph, k: int, v: int, w: int | None = None) -> list[int]:
     v and w when w is given: entry x counts those cycles that contain x, so
     entry v is their number.
 
-    One walk with v pinned as the root (and w required) credits every
-    vertex, so a change of the edges at v, or of the pair vw, moves the
-    whole per-vertex vector by the difference of this function before and
-    after the change.
+    One walk with v pinned as the root, or one pair walk from v to w,
+    credits every vertex, so a change of the edges at v, or of the pair vw,
+    moves the whole per-vertex vector by the difference of this function
+    before and after the change.
     """
     _check_k(g, k)
     _check_vertices(g, v)
-    wbit = 0
-    if w is not None:
-        if v == w:
-            raise ValueError("pair count needs two distinct vertices")
-        _check_vertices(g, w)
-        wbit = 1 << w
     credit = [0] * g.n
-    _count_roots(g, k, [v], False, wbit, credit)
+    if w is None:
+        _count_roots(g, k, [v], False, credit)
+    elif v == w:
+        raise ValueError("pair count needs two distinct vertices")
+    else:
+        _check_vertices(g, w)
+        _through_pair(g, k, v, w, credit)
     return credit
 
 

@@ -9,14 +9,20 @@ relabeling map is needed.
 
 from __future__ import annotations
 
+import base64
+
 from .graph import Graph, _check_order, from_edge_list
 
 GRAPH6_HEADER = ">>graph6<<"
 
 
-# graph6 character <-> its six bits, most significant first
+# graph6 character -> its six bits, most significant first
 _BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
-_CHARS = {bits: chr(c) for c, bits in _BITS.items()}
+# base64 digit i -> graph6 character 63 + i: both encode six bits per character
+_B64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def to_graph6(g: Graph) -> str:
@@ -32,8 +38,11 @@ def to_graph6(g: Graph) -> str:
     # column col holds rows 0..col-1 upward: the low bits of rows[col], reversed
     bits = "".join(format(rows[col] & ((1 << col) - 1), f"0{col}b")[::-1]
                    for col in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join([_CHARS[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+    groups = (len(bits) + 5) // 6
+    # padded to whole 3-byte blocks, base64 splits the bits into 6-bit digits
+    bits += "0" * (-len(bits) % 24)
+    body = base64.b64encode(int(bits or "0", 2).to_bytes(len(bits) // 8, "big"))
+    return head + body.translate(_B64_TO_GRAPH6)[:groups].decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

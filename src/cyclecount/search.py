@@ -315,14 +315,18 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
 
     Moves: toggle a random vertex pair, or (k >= 5) replace the vertex of
     smallest rooted count by a non-adjacent twin of the vertex of largest
-    rooted count. A move changes only the edges at one pair or one vertex,
-    so only the cycles through that pair or vertex change: it is scored by
-    one walk pinned there in the current graph and one in the candidate.
-    For k >= 5 the walks credit every vertex, and an accepted move adds the
-    difference of their vectors to the kept per-vertex counts, so full
-    passes run only at the start, after each restart and once at the end,
-    where the kept counts must equal a recount. k = 4 has no twin moves and
-    keeps no vector. Strictly improving moves are always accepted,
+    rooted count. A toggle of uw changes only the cycles through both u and
+    w, so it is scored by the pair count in the current graph and in the
+    candidate. Replacing u by a twin of w changes only the cycles through
+    u, and no k >= 5 cycle holds two twins, so the candidate's count is the
+    current one less the kept count of u, plus that of w, less the pair
+    count of u and w. For k >= 5 an accepted move runs one crediting walk
+    through the pair or through u in each graph, and adds the difference of
+    their vectors to the kept per-vertex counts; that difference at u must
+    equal the move's score, else RuntimeError. Full passes run only at the
+    start, after each restart and once at the end, where the kept counts
+    must equal a recount. k = 4 has no twin moves and keeps no vector.
+    Strictly improving moves are always accepted,
     equal-value moves with probability 1/2; after budget//10 consecutive
     non-improving steps the walk restarts. The final witness is recounted
     independently.
@@ -353,34 +357,38 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
     for _ in range(budget):
         use_twin_move = k >= 5 and rng.random() < 0.1
         if use_twin_move:
-            v_minus = rooted.index(min(rooted))
-            v_plus = rooted.index(max(rooted))
-            if v_minus == v_plus:
+            u = rooted.index(min(rooted))
+            w = rooted.index(max(rooted))
+            if u == w:
                 continue
-            candidate = symmetrise(current, v_minus, v_plus)
-            before = cycles_through(current, k, v_minus)
-            after = cycles_through(candidate, k, v_minus)
-            new_count = cur_count - before[v_minus] + after[v_minus]
+            candidate = symmetrise(current, u, w)
+            # the cycles through the new twin u are those through w that
+            # avoided the old u, since no k >= 5 cycle holds two twins
+            new_count = (cur_count - rooted[u] + rooted[w]
+                         - count_containing_pair(current, k, u, w))
         else:
             u = int(rng.integers(n))
             w = int(rng.integers(n - 1))
             if w >= u:
                 w += 1
             candidate = _toggle_edge(current, u, w)
-            if rooted is None:
-                new_count = (cur_count - count_containing_pair(current, k, u, w)
-                             + count_containing_pair(candidate, k, u, w))
-            else:
-                before = cycles_through(current, k, u, w)
-                after = cycles_through(candidate, k, u, w)
-                new_count = cur_count - before[u] + after[u]
+            new_count = (cur_count - count_containing_pair(current, k, u, w)
+                         + count_containing_pair(candidate, k, u, w))
         accept = new_count > cur_count or (
             new_count == cur_count and rng.random() < 0.5
         )
         if accept:
-            current, cur_count = candidate, new_count
             if rooted is not None:
+                pair = None if use_twin_move else w
+                before = cycles_through(current, k, u, pair)
+                after = cycles_through(candidate, k, u, pair)
+                if after[u] - before[u] != new_count - cur_count:
+                    raise RuntimeError(
+                        f"kept per-vertex counts drifted: the move at {u} scored "
+                        f"{new_count - cur_count}, its walks give {after[u] - before[u]}"
+                    )
                 rooted = [r - b + a for r, b, a in zip(rooted, before, after)]
+            current, cur_count = candidate, new_count
         if cur_count > best_count:
             best, best_count = current, cur_count
             stale = 0

@@ -257,6 +257,33 @@ def test_construct_rejects_unknown_spec(capsys):
     assert code == 1 and "cannot parse" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--construct", "kbipartite:4", "--k", "4"],
+    ["construct", "--construct", "random:5", "--seed", "1"],
+    ["construct", "--construct", "blowup:C5:x"],
+    ["construct", "--construct", "random:5,1/0", "--seed", "1"],
+    ["construct", "--construct", "random:5,x", "--seed", "1"],
+    ["construct", "--construct", "cycle:6:7"],
+])
+def test_unparsable_construct_specs_name_the_spec(capsys, argv):
+    # these printed Python's own messages, such as "not enough values to
+    # unpack (expected 2, got 1)" and "invalid literal for int()"
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 1 and payload is None
+    assert err == f"error: cannot parse construct spec {argv[2]!r}\n"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("iterated-blowup:C5:depth=0", "depth must be >= 1, got 0"),
+    ("cycle:2", "cycle needs at least 3 vertices, got 2"),
+    ("random:5,2", "edge probability 2.0 outside [0, 1]"),
+])
+def test_construct_domain_errors_keep_their_text(capsys, spec, message):
+    code, payload, err = run_cli(capsys, "construct", "--construct", spec, "--seed", "1")
+    assert code == 1 and payload is None
+    assert err == f"error: {message}\n"
+
+
 def test_parse_construct_specs():
     assert cli.parse_construct("cycle:6").n == 6
     assert cli.parse_construct("blowup:C5:2").n == 10

@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import math
 import os
+import random
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecount.constructions import (
+    balanced_part_sizes,
     blow_up,
     complete_bipartite,
     complete_graph,
@@ -364,6 +366,56 @@ def test_pair_counts_equal_oracle_on_random_graphs(gk):
         tally = [sum(1 for c in cycles if {v, w, x} <= c) for x in range(g.n)]
         assert count_containing_pair(g, k, v, w) == tally[v], (k, v, w)
         assert cycles_through(g, k, v, w) == tally, (k, v, w)
+
+
+def _planted(n, k, seed):
+    # G(n, 0.4) with an induced k-cycle planted on randomly chosen vertices
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    on = set(order[:k])
+    edges = [(u, w) for u, w in random_graph(n, 0.4, seed).edges()
+             if not (u in on and w in on)]
+    return from_edge_list(n, edges + [(order[i], order[(i + 1) % k]) for i in range(k)])
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_pair_walk_equals_oracle_on_every_ordered_pair(k):
+    # the cycles through v, w and x are, by inclusion-exclusion, the oracle's
+    # per-vertex count of x in g less those in g with v, with w, and plus
+    # those with both isolated; C_k puts w opposite v for even k (the tie),
+    # and the blow-ups and the planted cycle add non-adjacent pairs at k = 3
+    for g in (cycle(k), blow_up(cycle(k), balanced_part_sizes(min(k + 4, 12), k)),
+              _planted(k + 3, k, k)):
+        rooted = {}
+
+        def oracle(*drop):
+            if drop not in rooted:
+                rows = [0 if u in drop else row & ~sum(1 << x for x in drop)
+                        for u, row in enumerate(g.rows)]
+                rooted[drop] = count_oracle(Graph(g.n, rows), k, rooted=True).rooted
+            return rooted[drop]
+
+        for v, w in itertools.permutations(range(g.n), 2):
+            both = tuple(sorted((v, w)))
+            tally = [oracle()[x] - oracle(v)[x] - oracle(w)[x] + oracle(*both)[x]
+                     for x in range(g.n)]
+            assert count_containing_pair(g, k, v, w) == tally[v], (k, v, w)
+            assert cycles_through(g, k, v, w) == tally, (k, v, w)
+
+
+def test_pair_walk_breaks_the_tie_once():
+    # in the C_6 blow-up with parts of 2, each cycle through 0 and the
+    # opposite part's 6 has two sides of 3 edges and picks one vertex from
+    # each of the other four parts; walking both sides would give 32
+    g = blow_up(cycle(6), [2] * 6)
+    assert count_containing_pair(g, 6, 0, 6) == 16
+    assert cycles_through(g, 6, 0, 6) == [16, 0] + [8] * 4 + [16, 0] + [8] * 4
+    # adjacent pairs share 2^4 cycles, and no triangle holds two vertices
+    # of one part of K_{2,2,2}
+    assert count_containing_pair(g, 6, 0, 2) == 16
+    k222 = blow_up(cycle(3), [2] * 3)
+    assert count_containing_pair(k222, 3, 0, 1) == 0
+    assert cycles_through(k222, 3, 0, 1) == [0] * 6
 
 
 @settings(deadline=None, max_examples=25)

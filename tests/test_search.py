@@ -1,6 +1,7 @@
 """Exhaustive search over isomorphism classes and stochastic local search."""
 
 import functools
+import hashlib
 import os
 from fractions import Fraction
 from math import comb, factorial
@@ -60,6 +61,29 @@ FROZEN_LOCAL = {
     (12, 6, 500, 4): (64, "K]KoWWB?u@wE"),
     (16, 7, 800, 5): (288, "OFz_wwB?o@_E?B?B[?^?E"),
     (20, 5, 1000, 6): (1024, "S?~vf_NBo]@w?N?N?F_@w{?~oBv_Ff_F_"),
+}
+
+# (n, k, budget, seed) -> (best_count, witness, move digest), frozen from the
+# local search that scored every move by two credited pair or vertex walks;
+# the digest (see _move_digest) covers every proposed move and the graph it
+# was proposed on, so it pins the whole trajectory, not only the best graph
+FROZEN_MOVES = {
+    (30, 5, 2000, 1): (
+        7776,
+        "]??F~z{~Fw^_?~?~?^_Fw?~?B{??Fw?Fw?B{??~??Fw??^_~??~~??~^_?^fw?Fw~??~B{?B{?",
+        "5e6814318d81ec08",
+    ),
+    (28, 6, 1500, 1): (
+        10000,
+        "[?B~vrw}?N_}@{@{?}??^?Bw?N_?^??^???^??Fo??}??Bw}??N}??N^??Ffo?@w",
+        "9d8f1284b4e29ce6",
+    ),
+    (30, 4, 2000, 1): (
+        11025,
+        "]????B~~v}^w~o~o^wF}??N{?~o@~_@~_?~o?N{?@~_^w@~~oB}~oB}^w@~F}?^o~oB}B~?Nw?",
+        "78bf1d65dea9b0e2",
+    ),
+    (21, 7, 1000, 1): (2187, "TFz_ww[?wF?[?F?F?B_?F??w?Bf??~??z_?[", "0ff713250dc01629"),
 }
 
 # graphs on n unlabeled vertices, OEIS A000088
@@ -271,6 +295,30 @@ def test_local_search_is_deterministic_per_seed():
 def test_local_search_frozen_results(args):
     r = local_search_max(*args)
     assert (r.best_count, r.witnesses) == (FROZEN_LOCAL[args][0], [FROZEN_LOCAL[args][1]])
+
+
+def _move_digest(monkeypatch):
+    # hashes each toggle or symmetrisation with the rows it is proposed on
+    digest = hashlib.sha256()
+
+    def logged(tag, real):
+        def move(g, a, b):
+            digest.update(f"{tag}{a},{b}:{g.rows}".encode())
+            return real(g, a, b)
+
+        return move
+
+    monkeypatch.setattr(search, "_toggle_edge", logged("t", search._toggle_edge))
+    monkeypatch.setattr(search, "symmetrise", logged("s", search.symmetrise))
+    return digest
+
+
+@pytest.mark.parametrize("args", sorted(FROZEN_MOVES))
+def test_local_search_frozen_moves(monkeypatch, args):
+    digest = _move_digest(monkeypatch)
+    r = local_search_max(*args)
+    best, witness, moves = FROZEN_MOVES[args]
+    assert (r.best_count, r.witnesses, digest.hexdigest()[:16]) == (best, [witness], moves)
 
 
 def test_local_search_full_passes(monkeypatch):
