@@ -102,12 +102,15 @@ def _maximise(value, grad, box, target=None) -> OptResult:
             return push(face)
         seen += 1
         mid = tuple((lo + hi) / 2 for lo, hi in b)
-        at = value(tuple(map(Interval, mid)))
+        point = tuple(map(Interval, mid))
+        at = value(point)
         if at[0] > best:
             best, arg = at[0], mid
+        # a box of points is its own midpoint, so its enclosure is known
+        whole = at if point == b else value(b)
         for side, m, d in zip(b, mid, g):
             at = at + d * (side - m)
-        heapq.heappush(heap, (-min(value(b)[1], at[1]), seen, b))
+        heapq.heappush(heap, (-min(whole[1], at[1]), seen, b))
 
     push(tuple(Interval(*side) for side in box))
     while -heap[0][0] - best > TOL:

@@ -406,13 +406,14 @@ def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
     if u == w:
         raise ValueError("cherry endpoints must be distinct")
-    if not (g.has_edge(u, v) and g.has_edge(v, w)):
+    rows = g.rows
+    if not ((rows[u] >> v) & 1 and (rows[v] >> w) & 1):
         raise ValueError(f"{u} and {w} must both be neighbors of {v}")
-    if g.has_edge(u, w):
+    if (rows[u] >> w) & 1:
         raise ValueError(f"cherry endpoints {u}, {w} must be non-adjacent")
     ncl = g._open_masks()
     free = ((1 << g.n) - 1) & ncl[u] & ncl[v]
-    return _walk(g.rows, ncl, 1 << w, free, g.rows[u] & ncl[v], k - 4)
+    return _walk(rows, ncl, 1 << w, free, rows[u] & ncl[v], k - 4)
 
 
 def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:

@@ -168,10 +168,13 @@ def nonadjacent_neighbor_pairs(g: Graph, v: int) -> list[tuple[int, int]]:
     Both orders of each unordered pair are returned, so the list has even
     length; it is the rooted ground set for cherry-based counting.
     """
-    nbrs = g.neighbors(v)
+    row = g.rows[v]
+    ncl = g._open_masks()
     out = []
-    for u in nbrs:
-        for w in nbrs:
-            if u != w and not g.has_edge(u, w):
-                out.append((u, w))
+    for u in g.neighbors(v):
+        rest = row & ncl[u]  # the neighbors of v outside u's closed neighborhood
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out.append((u, low.bit_length() - 1))
     return out

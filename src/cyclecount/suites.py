@@ -53,11 +53,11 @@ def _suite(name: str, checks: list[dict]) -> dict:
     }
 
 
-def _twin_update(g, k: int, v_minus: int, v_plus: int) -> int:
+def _twin_update(g, k: int, v_minus: int, v_plus: int, total: int) -> int:
     """The count of symmetrise(g, v_minus, v_plus) that the neighborhood-swap
-    identity predicts from g alone."""
+    identity predicts from g alone, given g's count `total`."""
     return (
-        count_fast(g, k).total
+        total
         - count_rooted(g, k, v_minus)
         + count_rooted(g, k, v_plus)
         - count_containing_pair(g, k, v_minus, v_plus)
@@ -75,21 +75,21 @@ def identities_suite() -> dict:
         k = IDENTITY_KS[i % len(IDENTITY_KS)]
         report = count_fast(g, k, rooted=True)
         if k * report.total != sum(report.rooted.values()):
-            handshake_fail.append((name, k, "vertex"))
+            handshake_fail.append((name, k, "vertex", io.to_graph6(g)))
         for v in range(g.n):
             # the one-pass vector sums to k * total by construction, so it is
             # checked vertex by vertex against the pinned-root enumeration
             if report.rooted[v] != count_rooted(g, k, v):
-                handshake_fail.append((name, k, f"vertex@{v}"))
+                handshake_fail.append((name, k, f"vertex@{v}", io.to_graph6(g)))
             edge_sum = sum(count_edge_rooted(g, k, v, w) for w in g.neighbors(v))
             if edge_sum != 2 * report.rooted[v]:
-                handshake_fail.append((name, k, f"edge@{v}"))
+                handshake_fail.append((name, k, f"edge@{v}", io.to_graph6(g)))
             cherry_sum = sum(
                 count_cherry_rooted(g, k, u, v, w)
                 for u, w in nonadjacent_neighbor_pairs(g, v)
             )
             if cherry_sum != 2 * report.rooted[v]:
-                handshake_fail.append((name, k, f"cherry@{v}"))
+                handshake_fail.append((name, k, f"cherry@{v}", io.to_graph6(g)))
     checks.append({
         "name": "handshake_identities",
         "passed": not handshake_fail,
@@ -100,17 +100,21 @@ def identities_suite() -> dict:
 
     sym_fail = []
     graphs = random_instances((SYMMETRISE_SAMPLES + 9) // 10, 8, 12, SYMMETRISE_SEED)
+    totals = {}  # one count per (graph, k), shared by its samples
     for i in range(SYMMETRISE_SAMPLES):
         name, g = graphs[i % len(graphs)]
         k = (5, 6)[i % 2]
+        key = (i % len(graphs), k)
+        if key not in totals:
+            totals[key] = count_fast(g, k).total
         v_minus = i % g.n
         v_plus = (i * 7 + 3) % g.n
         if v_minus == v_plus:
             v_plus = (v_plus + 1) % g.n
         lhs = count_fast(symmetrise(g, v_minus, v_plus), k).total
-        rhs = _twin_update(g, k, v_minus, v_plus)
+        rhs = _twin_update(g, k, v_minus, v_plus, totals[key])
         if lhs != rhs:
-            sym_fail.append((name, k, v_minus, v_plus, lhs, rhs))
+            sym_fail.append((name, k, v_minus, v_plus, lhs, rhs, io.to_graph6(g)))
     checks.append({
         "name": "symmetrise_identity_k_ge_5",
         "passed": not sym_fail,
@@ -123,7 +127,7 @@ def identities_suite() -> dict:
     g = from_edge_list(4, [(1, 2), (2, 3)])
     g2 = symmetrise(g, 0, 2)
     lhs = count_fast(g2, 4).total
-    rhs = _twin_update(g, 4, 0, 2)
+    rhs = _twin_update(g, 4, 0, 2, count_fast(g, 4).total)
     twin_cycle = is_induced_cycle(g2, [0, 1, 2, 3])
     checks.append({
         "name": "symmetrise_identity_fails_at_k4",
@@ -256,7 +260,7 @@ def analytic_suite() -> dict:
             return
         entry = {"name": name, "passed": True, "max_value": res.max_value,
                  "argmax": list(res.argmax), "on_boundary": res.on_boundary,
-                 "certified_upper": res.certified_upper}
+                 "certified_upper": res.certified_upper, "boxes": res.info["boxes"]}
         if expect is not None:
             err = abs(res.max_value - expect[0])
             entry["closed_form"] = expect[0]

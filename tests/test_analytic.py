@@ -304,6 +304,71 @@ def test_interval_operations_enclose_mpmath():
         1 / Interval(-1.0, 1.0)
 
 
+# The interval operators as first written: one rounding helper call per end,
+# and a - b as a + (-b). The written-out operators must give the same floats.
+def _dn(x):
+    return math.nextafter(x, -INF)
+
+
+def _up(x):
+    return math.nextafter(x, INF)
+
+
+def _old_add(a, b):
+    b0, b1 = b if isinstance(b, tuple) else (b, b)
+    lo, hi = a[0] + b0, a[1] + b1
+    return lo if lo == 0 else _dn(lo), hi if hi == 0 else _up(hi)
+
+
+def _old_neg(a):
+    return -a[1], -a[0]
+
+
+def _old_mul(a, b):
+    b = b if isinstance(b, tuple) else (b, b)
+    if a[0] > 0 and b[0] > 0:
+        return _dn(a[0] * b[0]), _up(a[1] * b[1])
+    ends = [x * y for x in a for y in b if x and y]
+    lo, hi = (_dn(min(ends)), _up(max(ends))) if ends else (0.0, 0.0)
+    if len(ends) < 4:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    return lo, hi
+
+
+def _old_exp_neg(a):
+    lo = _dn(_dn(math.exp(min(-a[1], 709.0))))
+    hi = _up(_up(math.exp(-a[0]))) if a[0] > -709.0 else INF
+    return max(0.0, lo), hi
+
+
+def _bits(pair):
+    """The two ends as hex strings, so that 0.0 and -0.0 differ."""
+    return tuple(float(e).hex() for e in pair)
+
+
+def test_interval_operations_equal_the_composed_formulas():
+    rng = random.Random(7)
+    for _ in range(3000):
+        x, y = _random_interval(rng), _random_interval(rng)
+        a, b = Interval(*x), Interval(*y)
+        s = rng.choice([0.0, -0.0, 0, 1, 2, rng.uniform(-6, 6), rng.uniform(0, 1e-300)])
+        cases = [
+            (a + b, _old_add(x, y)), (a + s, _old_add(x, s)), (s + a, _old_add(x, s)),
+            (a + y, _old_add(x, y)),
+            (a - b, _old_add(x, _old_neg(y))), (a - s, _old_add(x, -s)),
+            (s - a, _old_add(_old_neg(x), s)), (a - y, _old_add(x, _old_neg(y))),
+            (y - a, _old_add(_old_neg(x), y)),
+            (-a, _old_neg(x)),
+            (a * b, _old_mul(x, y)), (a * s, _old_mul(x, s)), (s * a, _old_mul(x, s)),
+            (a * y, _old_mul(x, y)),
+            (a.exp_neg(), _old_exp_neg(x)),
+        ]
+        if x[0] > 0:
+            cases.append((3 / a, (_dn(3 / x[1]), _up(3 / x[0]))))
+        for got, want in cases:
+            assert type(got) is Interval and _bits(got) == _bits(want), (x, y, s, got, want)
+
+
 def _power(scale, k, a, b):
     return lambda x: scale * x**k * mp.exp(a - b * x)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from cyclecount import cli, constructions, io, search, suites
+from cyclecount import cli, constructions, corpus, io, search, suites
 from cyclecount.constructions import petersen, random_graph
 from cyclecount.counting import count_rooted
 from cyclecount.io import to_graph6
@@ -235,6 +235,30 @@ def test_verify_bounds_failure_still_reports(capsys, monkeypatch):
     assert count_rooted(g, k, int(where.removeprefix("vertex@"))) == count
 
 
+@pytest.mark.parametrize("counter,check_name", [
+    ("count_rooted", "handshake_identities"),
+    ("count_containing_pair", "symmetrise_identity_k_ge_5"),
+])
+def test_verify_identities_failures_name_their_witness(capsys, monkeypatch, counter, check_name):
+    # a counter one unit high breaks the identity; every failure must end
+    # with the graph6 of the very instance it names
+    real = getattr(suites, counter)
+    monkeypatch.setattr(suites, counter, lambda *args: real(*args) + 1)
+    code, payload, err = run_cli(capsys, "verify", "--suite", "identities")
+    assert code == 1
+    assert "suite identities: FAILED" in err
+    checks = {c["name"]: c for c in payload["report"]["suites"][0]["checks"]}
+    failures = checks[check_name]["failures"]
+    assert checks[check_name]["passed"] is False and failures
+    instances = dict(
+        corpus.random_instances(suites.IDENTITY_GRAPHS, 8, 14, suites.IDENTITY_SEED)
+        + corpus.random_instances((suites.SYMMETRISE_SAMPLES + 9) // 10, 8, 12,
+                                  suites.SYMMETRISE_SEED)
+    )
+    for failure in failures:
+        assert io.from_graph6(failure[-1]) == instances[failure[0]], failure
+
+
 def test_construct_round_trip(capsys):
     code, payload, _ = run_cli(capsys, "construct", "--construct", "petersen")
     assert code == 0
@@ -365,7 +389,9 @@ def test_cli_import_does_not_load_numpy():
 
 # Reports of eleven commands recorded from the CLI before the run manifest
 # became a plain dict and `--roots all` took its vector from the selected
-# mode's own counter; "{input}" stands for the path of a graph6 file of the
+# mode's own counter, and `verify --suite analytic` recorded before the
+# interval operators were written out, with the `boxes` count of each check
+# added since; "{input}" stands for the path of a graph6 file of the
 # Petersen graph. Runtimes and timestamps are left out of the comparison.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 

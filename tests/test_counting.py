@@ -519,8 +519,18 @@ def test_vertices_outside_the_graph_are_refused(v, w):
 
 def test_cherry_rooted_requires_real_cherry():
     g = complete_graph(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cherry endpoints 0, 2 must be non-adjacent$"):
         count_cherry_rooted(g, 4, 0, 1, 2)  # u,w adjacent
+    g = cycle(6)
+    for args, message in [
+        ((3, 0, 1, 2), "need 4 <= k <= n=6, got k=3"),
+        ((6, 0, 1, 0), "cherry endpoints must be distinct"),
+        ((6, 0, 1, 3), "0 and 3 must both be neighbors of 1"),
+        ((6, 2, 1, 4), "2 and 4 must both be neighbors of 1"),
+        ((6, 3, 1, 2), "3 and 2 must both be neighbors of 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count_cherry_rooted(g, *args)
 
 
 def test_iterated_blowup_frozen():

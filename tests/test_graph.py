@@ -65,6 +65,8 @@ def test_nonadjacent_neighbor_pairs_are_cherries(g):
             assert u != w and g.has_edge(u, v) and g.has_edge(v, w)
             assert not g.has_edge(u, w)
         assert set(pairs) == {(w, u) for u, w in pairs}
+        nbrs = g.neighbors(v)
+        assert pairs == [(u, w) for u in nbrs for w in nbrs if u != w and not g.has_edge(u, w)]
 
 
 def test_codegree_worked_examples():
