@@ -22,18 +22,28 @@ from .constructions import (
     blow_up,
     complete_bipartite,
     cycle,
-    iterated_blow_up,
+    nested_blow_up,
     petersen,
     random_graph,
 )
 from .counting import _check_vertices, count_fast, count_oracle, count_rooted
-from .graph import Graph
+from .graph import Graph, _check_order
 from .search import exhaustive_max, local_search_max
 from .suites import run_suites
 
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z"
+
+
+def _iterated_blow_up(k: int, depth: int) -> Graph:
+    """The depth-M blow-up of C_K, the nested blow-up on K**M vertices; K
+    and M are checked first, so a huge depth never computes the power."""
+    cycle(k)  # refuses K < 3 with the cycle's own message
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_order(k ** min(depth, 17))  # 3**17 > MAX_VERTICES already
+    return nested_blow_up(k**depth, k)
 
 
 def parse_construct(spec: str, seed: int | None = None) -> Graph:
@@ -58,7 +68,7 @@ def parse_construct(spec: str, seed: int | None = None) -> Graph:
             build = lambda base_k, t: blow_up(cycle(base_k), [t] * base_k)
             args = [int(fields[0].removeprefix("C")), int(fields[1])]
         elif shape == ("iterated-blowup", 2) and fields[1].startswith("depth="):
-            build = lambda base_k, depth: iterated_blow_up(cycle(base_k), depth)
+            build = _iterated_blow_up
             args = [int(fields[0].removeprefix("C")), int(fields[1].removeprefix("depth="))]
         elif shape == ("random", 1):
             n_text, p_text = fields[0].split(",")

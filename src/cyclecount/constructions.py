@@ -1,5 +1,5 @@
 """Reference graph constructions: cycles, complete (bi)partite graphs,
-blow-ups, iterated balanced blow-ups, seeded random graphs, and the Kneser
+blow-ups, nested balanced blow-ups, seeded random graphs, and the Kneser
 graph on 2-subsets of a 5-set.
 """
 
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 
-from .counting import is_induced_cycle
 from .graph import Graph, _check_order, from_edge_list
 
 
@@ -75,38 +74,22 @@ def balanced_part_sizes(n: int, k: int) -> list[int]:
     return [q + 1] * r + [q] * (k - r)
 
 
-def iterated_blow_up(base: Graph, depth: int) -> Graph:
-    """Depth-m self-similar blow-up of a cycle.
+def nested_blow_up(n: int, k: int) -> Graph:
+    """Nested balanced blow-up of C_k on n >= k vertices: the blow-up of C_k
+    over balanced_part_sizes(n, k), where a part of size a >= k is itself
+    nested_blow_up(a, k) and a smaller part stays an independent set.
 
-    Depth 1 is the base k-cycle itself; depth m replaces each vertex of the
-    base by a copy of the depth-(m-1) graph, with complete joins between
-    copies sitting on adjacent base vertices. The result has k**m vertices.
+    For n <= k (k - 1) every part is smaller than k and this is the
+    balanced blow-up; for n = k**m it is the depth-m iterated blow-up, each
+    part a copy of the k**(m - 1) graph. For k >= 5, C_k is prime, so an
+    induced k-cycle lies inside one part or meets every part once: the count
+    is the product of the part sizes plus the counts inside the parts.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if base.n < 3 or not is_induced_cycle(base, range(base.n)):
-        raise ValueError("iterated blow-up is defined over a cycle base")
-    _check_order(base.n ** min(depth, 17))  # 3**17 > MAX_VERTICES already
-    g = base
-    for _ in range(depth - 1):
-        g = blow_up(base, [g] * base.n)
-    return g
-
-
-def iterated_blowup_cycle_count(k: int, depth: int) -> int:
-    """Exact induced k-cycle count of the depth-m iterated blow-up of a
-    k-cycle: one vertex per top-level part in every way, plus the cycles
-    lying inside a single part. N(1) = 1, N(m) = (k**(m-1))**k + k*N(m-1).
-
-    Requires k >= 5: at k = 4, two vertices from each of two adjacent parts
-    induce a K_{2,2}, an extra 4-cycle the decomposition does not see.
-    """
-    if k < 5 or depth < 1:
-        raise ValueError("need k >= 5 and depth >= 1")
-    count = 1
-    for m in range(2, depth + 1):
-        count = (k ** (m - 1)) ** k + k * count
-    return count
+    _check_order(n)
+    base = cycle(k)
+    sizes = balanced_part_sizes(n, k)
+    inner = {a: nested_blow_up(a, k) for a in set(sizes) if a >= k}
+    return blow_up(base, [inner.get(a, a) for a in sizes])
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

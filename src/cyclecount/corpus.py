@@ -14,7 +14,7 @@ from .constructions import (
     complete_bipartite,
     complete_graph,
     cycle,
-    iterated_blow_up,
+    nested_blow_up,
     petersen,
     random_graph,
 )
@@ -44,7 +44,7 @@ def standard_corpus() -> list[CorpusEntry]:
         CorpusEntry("blowup_c6_t2", blow_up(cycle(6), [2] * 6)),
         CorpusEntry("blowup_c7_t2", blow_up(cycle(7), [2] * 7)),
         CorpusEntry("blowup_c5_t3", blow_up(c5, [3] * 5)),
-        CorpusEntry("iterated_blowup_c5_d2", iterated_blow_up(c5, 2), heavy=True),
+        CorpusEntry("iterated_blowup_c5_d2", nested_blow_up(25, 5), heavy=True),
         CorpusEntry("random_9_p15_s23", random_graph(9, 0.15, 23)),
         CorpusEntry("random_10_p60_s17", random_graph(10, 0.6, 17)),
         CorpusEntry("random_12_p30_s7", random_graph(12, 0.3, 7)),

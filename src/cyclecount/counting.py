@@ -274,12 +274,12 @@ def _through_pair(g: Graph, k: int, v: int, w: int, credit=None) -> int:
     side on which w is nearer to v.
 
     If w is a neighbor of v it is the second vertex and every other neighbor
-    of v may close, as in count_edge_rooted. Otherwise the prefix v, v1, ...,
-    w of at most k // 2 edges is enumerated in either orientation: w is
-    forced as the next vertex once it is a neighbor of the tip, and must
-    come next at depth k // 2. The walk from w then closes the longer side.
-    When both sides have k / 2 edges, v1 < closing vertex breaks the tie.
-    With credit, v and the prefix vertices are credited too.
+    of v may close; this case is all of count_edge_rooted. Otherwise the
+    prefix v, v1, ..., w of at most k // 2 edges is enumerated in either
+    orientation: w is forced as the next vertex once it is a neighbor of the
+    tip, and must come next at depth k // 2. The walk from w then closes the
+    longer side. When both sides have k / 2 edges, v1 < closing vertex
+    breaks the tie. With credit, v and the prefix vertices are credited too.
     """
     adj = g.rows
     ncl = g._open_masks()
@@ -390,9 +390,7 @@ def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
     _check_k(g, k)
     if not g.has_edge(v, w):
         raise ValueError(f"({v}, {w}) is not an edge")
-    ncl = g._open_masks()
-    free = ((1 << g.n) - 1) & ncl[v]
-    return _walk(g.rows, ncl, 1 << w, free, g.rows[v], k - 3)
+    return _through_pair(g, k, v, w)
 
 
 def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:

@@ -10,9 +10,9 @@ of Pippenger and Golumbic, 1975): a graph with count >= t has a vertex
 whose deletion leaves count >= ceil(t (m - k) / m). Starting from a lower
 bound L on the maximum, the count of a concrete graph, these thresholds
 descend to 1 at m = k, where the only class is C_k. local_search_max
-hill-climbs with exact integer objectives from deterministic constructed
-starting points, so its best value is a certified lower bound on the true
-maximum.
+hill-climbs with exact integer objectives from the constructed graph that
+gives exhaustive search its bound L, so its best value is a certified
+lower bound on the true maximum and never below L.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .constructions import (
     blow_up,
     complete_graph,
     cycle,
-    iterated_blow_up,
+    nested_blow_up,
     random_graph,
 )
 from .counting import (
@@ -177,17 +177,24 @@ def _extend(rows, s: int) -> list[int]:
     return [row | v if s >> u & 1 else row for u, row in enumerate(rows)] + [s]
 
 
-def _lower_bound(n: int, k: int) -> tuple[int, str]:
-    """The subset-oracle count of a concrete n-vertex graph, and its name:
-    K_n for k = 3, else the balanced C_k blow-up (for k = 4 that is
-    K_{ceil(n/2),floor(n/2)}). A formula never sets the bound, since a bound
-    above the maximum would prune the maximizers."""
+def _start(n: int, k: int) -> tuple[Graph, str]:
+    """The constructed graph both searches start from, and its name: K_n
+    for k = 3; the balanced C_4 blow-up, K_{ceil(n/2),floor(n/2)}, for
+    k = 4, where edges inside parts lose; else the nested balanced C_k
+    blow-up, whose parts of size >= k are blown up in turn."""
     if k == 3:
-        name, g = f"K_{n}", complete_graph(n)
-    else:
-        sizes = balanced_part_sizes(n, k)
-        name = f"blow-up of C{k} with parts {','.join(map(str, sizes))}"
-        g = blow_up(cycle(k), sizes)
+        return complete_graph(n), f"K_{n}"
+    sizes = balanced_part_sizes(n, k)
+    g = blow_up(cycle(4), sizes) if k == 4 else nested_blow_up(n, k)
+    nested = "nested " if k >= 5 and max(sizes) >= k else ""
+    return g, f"{nested}blow-up of C{k} with parts {','.join(map(str, sizes))}"
+
+
+def _lower_bound(n: int, k: int) -> tuple[int, str]:
+    """The subset-oracle count of the start graph, and its name. A formula
+    never sets the bound, since a bound above the maximum would prune the
+    maximizers."""
+    g, name = _start(n, k)
     return count_oracle(g, k).total, name
 
 
@@ -289,20 +296,6 @@ def exhaustive_max(n: int, k: int) -> SearchResult:
     )
 
 
-def _starting_graphs(n: int, k: int) -> list[Graph]:
-    """Deterministic starting points: the balanced cycle blow-up and, when
-    n is a perfect power of k, the iterated balanced blow-up."""
-    starts = [blow_up(cycle(k), balanced_part_sizes(n, k))]
-    depth = 1
-    size = k
-    while size < n:
-        size *= k
-        depth += 1
-    if size == n and depth > 1:
-        starts.append(iterated_blow_up(cycle(k), depth))
-    return starts
-
-
 def _toggle_edge(g: Graph, u: int, w: int) -> Graph:
     rows = list(g.rows)
     rows[u] ^= 1 << w
@@ -312,6 +305,10 @@ def _toggle_edge(g: Graph, u: int, w: int) -> Graph:
 
 def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> SearchResult:
     """Hill-climbing lower bound for the maximum induced k-cycle count.
+
+    The walk starts from the constructed graph of `_start`: the balanced
+    C_4 blow-up for k = 4, else the nested balanced C_k blow-up, so the
+    best count reported is never below that graph's count.
 
     Moves: toggle a random vertex pair, or (k >= 5) replace the vertex of
     smallest rooted count by a non-adjacent twin of the vertex of largest
@@ -346,11 +343,8 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         rep = count_fast(g, k, rooted=True)
         return rep.total, list(rep.rooted.values())
 
-    current, cur_count, rooted = None, -1, None
-    for g in _starting_graphs(n, k):
-        cnt, vec = full_count(g)
-        if cnt > cur_count:
-            current, cur_count, rooted = g, cnt, vec
+    current = _start(n, k)[0]
+    cur_count, rooted = full_count(current)
     best, best_count = current, cur_count
     stale = 0
     restart_after = max(1, budget // 10)

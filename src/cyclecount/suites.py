@@ -102,15 +102,16 @@ def identities_suite() -> dict:
     graphs = random_instances((SYMMETRISE_SAMPLES + 9) // 10, 8, 12, SYMMETRISE_SEED)
     totals = {}  # one count per (graph, k), shared by its samples
     for i in range(SYMMETRISE_SAMPLES):
-        name, g = graphs[i % len(graphs)]
+        r, j = divmod(i, len(graphs))
+        name, g = graphs[j]
         k = (5, 6)[i % 2]
-        key = (i % len(graphs), k)
+        key = (j, k)
         if key not in totals:
             totals[key] = count_fast(g, k).total
-        v_minus = i % g.n
-        v_plus = (i * 7 + 3) % g.n
-        if v_minus == v_plus:
-            v_plus = (v_plus + 1) % g.n
+        # graph j takes samples r = 0..9, the ordered pairs (v-, v- + step + 1)
+        # with (step, v-) = divmod(r, n): distinct, as r < n (n - 1) for n >= 8
+        step, v_minus = divmod(r, g.n)
+        v_plus = (v_minus + step + 1) % g.n
         lhs = count_fast(symmetrise(g, v_minus, v_plus), k).total
         rhs = _twin_update(g, k, v_minus, v_plus, totals[key])
         if lhs != rhs:

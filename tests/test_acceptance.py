@@ -15,8 +15,7 @@ import pytest
 from cyclecount.constructions import (
     blow_up,
     cycle,
-    iterated_blow_up,
-    iterated_blowup_cycle_count,
+    nested_blow_up,
     random_graph,
 )
 from cyclecount.counting import count_fast, count_oracle
@@ -28,6 +27,8 @@ from cyclecount.suites import (
     headline_suite,
     identities_suite,
 )
+
+from blowup_recurrence import recurrence
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -123,9 +124,9 @@ def test_criterion_5_constructions():
     for t in (1, 2, 3):
         g = blow_up(cycle(5), [t] * 5)
         ok = ok and count_oracle(g, 5).total == t**5
-    g2 = iterated_blow_up(cycle(5), 2)
+    g2 = nested_blow_up(25, 5)
     total = count_fast(g2, 5).total
-    ok = ok and total == iterated_blowup_cycle_count(5, 2) == 3130
+    ok = ok and total == recurrence(25, 5) == 3130
     ok = ok and Fraction(total, comb(25, 5)) > Fraction(1, 26)
     elapsed = time.perf_counter() - t0
     _report(

@@ -1,4 +1,4 @@
-"""Constructions: blow-ups, iterated blow-ups, random graphs, Petersen."""
+"""Constructions: blow-ups, nested blow-ups, random graphs, Petersen."""
 
 from fractions import Fraction
 from math import comb
@@ -11,13 +11,15 @@ from cyclecount.constructions import (
     complete_bipartite,
     complete_graph,
     cycle,
-    iterated_blow_up,
-    iterated_blowup_cycle_count,
+    nested_blow_up,
     petersen,
     random_graph,
 )
+from cyclecount.cli import parse_construct
 from cyclecount.counting import count_fast, count_oracle
 from cyclecount.graph import codegree
+
+from blowup_recurrence import recurrence
 
 
 def test_cycle_basic():
@@ -53,7 +55,7 @@ def test_blowup_count_general_k():
 
 def test_identity_blowup_is_the_base_graph():
     assert blow_up(cycle(5), [1] * 5) == cycle(5)
-    assert iterated_blow_up(cycle(5), 1) == cycle(5)
+    assert nested_blow_up(5, 5) == cycle(5)
 
 
 def test_small_bipartite_and_cycle_counts():
@@ -93,9 +95,33 @@ def test_blowup_keeps_the_edges_of_graph_parts():
 
 def test_blowup_of_graph_parts_is_one_iteration():
     c5 = cycle(5)
-    assert blow_up(c5, [c5] * 5) == iterated_blow_up(c5, 2)
-    assert blow_up(c5, [iterated_blow_up(c5, 2)] * 5) == iterated_blow_up(c5, 3)
+    assert blow_up(c5, [c5] * 5) == nested_blow_up(25, 5)
     assert blow_up(c5, [complete_graph(1), 2, 1, 2, 1]) == blow_up(c5, [1, 2, 1, 2, 1])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_nested_blowup_of_a_power_is_iterated(k):
+    for d in (2, 3):
+        inner = nested_blow_up(k ** (d - 1), k)
+        assert nested_blow_up(k**d, k) == blow_up(cycle(k), [inner] * k)
+
+
+def test_nested_blowup_with_parts_below_k_is_flat():
+    # every part is smaller than k exactly when n <= k (k - 1)
+    for k in range(3, 9):
+        for n in range(k, k * (k - 1) + 1):
+            assert nested_blow_up(n, k) == blow_up(cycle(k), balanced_part_sizes(n, k))
+    assert nested_blow_up(21, 5) != blow_up(cycle(5), [5, 4, 4, 4, 4])
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_nested_blowup_counts_the_recurrence(k):
+    for n in range(k, 61):
+        g = nested_blow_up(n, k)
+        assert g.n == n
+        assert count_fast(g, k).total == recurrence(n, k), n
+        if n <= 14:
+            assert count_oracle(g, k).total == recurrence(n, k), n
 
 
 def test_balanced_part_sizes():
@@ -106,42 +132,39 @@ def test_balanced_part_sizes():
 
 
 def test_iterated_blowup_depth2_frozen():
-    g = iterated_blow_up(cycle(5), 2)
+    g = nested_blow_up(25, 5)
     assert g.n == 25
-    want = iterated_blowup_cycle_count(5, 2)
+    want = recurrence(25, 5)
     assert want == 3130
     assert count_fast(g, 5).total == want
     assert count_oracle(g, 5).total == want
 
 
 def test_iterated_blowup_density_beats_1_over_26():
-    total = iterated_blowup_cycle_count(5, 2)
+    total = recurrence(25, 5)
     assert Fraction(total, comb(25, 5)) > Fraction(1, 26)
 
 
 def test_iterated_blowup_recursion():
-    assert iterated_blowup_cycle_count(5, 1) == 1
-    assert iterated_blowup_cycle_count(5, 3) == 5**10 + 5 * 3130
-    g6 = iterated_blow_up(cycle(6), 2)
-    assert g6.n == 36
-    assert count_fast(g6, 6).total == iterated_blowup_cycle_count(6, 2)
+    assert recurrence(5, 5) == 1
+    assert recurrence(125, 5) == 5**10 + 5 * 3130
 
 
 def test_iterated_count_formula_breaks_at_k4():
     # two vertices from each of two adjacent parts give a K_{2,2}: an induced
-    # 4-cycle outside the one-per-part decomposition, so no closed form here
-    with pytest.raises(ValueError):
-        iterated_blowup_cycle_count(4, 2)
-    g2 = iterated_blow_up(cycle(4), 2)
-    naive = 4**4 + 4 * 1
-    assert count_fast(g2, 4).total == 404 > naive
+    # 4-cycle outside the one-per-part decomposition, so no recurrence here;
+    # the edges inside parts lose to the flat blow-up, which local search
+    # therefore starts from at k = 4
+    g2 = nested_blow_up(16, 4)
+    assert count_fast(g2, 4).total == 404 > recurrence(16, 4) == 4**4 + 4 * 1
+    assert count_fast(blow_up(cycle(4), [4] * 4), 4).total == 784
 
 
 def test_iterated_blowup_needs_cycle_base():
-    with pytest.raises(ValueError):
-        iterated_blow_up(complete_graph(4), 2)
-    with pytest.raises(ValueError):
-        iterated_blow_up(cycle(5), 0)
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        nested_blow_up(4, 2)
+    with pytest.raises(ValueError, match="cannot split"):
+        nested_blow_up(4, 5)
 
 
 def test_random_graph_is_deterministic():
@@ -174,11 +197,12 @@ def test_petersen_shape():
 
 
 def test_blowup_spec():
-    # the blowup:CK:t and iterated-blowup:CK:depth=M specs call these directly
+    # the blowup:CK:t spec calls blow_up directly, and iterated-blowup:CK:depth=M
+    # builds the nested blow-up on K**M vertices
     assert count_fast(blow_up(cycle(5), (2,) * 5), 5).total == 32
-    assert iterated_blow_up(cycle(5), 2).n == 25
+    assert parse_construct("iterated-blowup:C5:depth=2") == nested_blow_up(25, 5)
     with pytest.raises(ValueError):
         blow_up(cycle(5), (1, 1))
     for depth in (0, -2):
-        with pytest.raises(ValueError, match="depth"):
-            iterated_blow_up(cycle(5), depth)
+        with pytest.raises(ValueError, match=f"^depth must be >= 1, got {depth}$"):
+            parse_construct(f"iterated-blowup:C5:depth={depth}")

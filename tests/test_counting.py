@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclecount import suites
 from cyclecount.constructions import (
     balanced_part_sizes,
     blow_up,
     complete_bipartite,
     complete_graph,
     cycle,
-    iterated_blow_up,
+    nested_blow_up,
     petersen,
     random_graph,
 )
@@ -199,6 +200,23 @@ def test_symmetrise_identity(n, seed, k, data):
         - count_containing_pair(g, k, v_minus, v_plus)
     )
     assert lhs == rhs
+
+
+def test_symmetrise_suite_checks_distinct_samples(monkeypatch):
+    # every instance the suite reports must be its own (graph, k, v-, v+)
+    samples = []
+    real = suites.count_containing_pair
+
+    def logged(g, k, v, w):
+        if k >= 5:
+            samples.append((g.rows, k, v, w))
+        return real(g, k, v, w)
+
+    monkeypatch.setattr(suites, "count_containing_pair", logged)
+    check = next(c for c in suites.identities_suite()["checks"]
+                 if c["name"] == "symmetrise_identity_k_ge_5")
+    assert check["passed"] and check["instances"] == suites.SYMMETRISE_SAMPLES == 500
+    assert len(samples) == len(set(samples)) == 500
 
 
 def test_symmetrise_structure_and_edge_cases():
@@ -534,7 +552,7 @@ def test_cherry_rooted_requires_real_cherry():
 
 
 def test_iterated_blowup_frozen():
-    g = iterated_blow_up(cycle(5), 2)
+    g = nested_blow_up(25, 5)
     assert count_fast(g, 5).total == 3130
 
 

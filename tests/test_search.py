@@ -18,6 +18,7 @@ from cyclecount.graph import Graph, from_edge_list
 from cyclecount.io import from_graph6
 from cyclecount.search import _toggle_edge, exhaustive_max, local_search_max
 
+from blowup_recurrence import recurrence
 from graph_classes import all_classes
 
 SLOW = os.environ.get("CYCLECOUNT_RUN_SLOW") == "1"
@@ -66,12 +67,13 @@ FROZEN_LOCAL = {
 # (n, k, budget, seed) -> (best_count, witness, move digest), frozen from the
 # local search that scored every move by two credited pair or vertex walks;
 # the digest (see _move_digest) covers every proposed move and the graph it
-# was proposed on, so it pins the whole trajectory, not only the best graph
+# was proposed on, so it pins the whole trajectory, not only the best graph;
+# (30, 5) starts from the nested blow-up, whose parts of 6 are C_5 blow-ups
 FROZEN_MOVES = {
     (30, 5, 2000, 1): (
-        7776,
-        "]??F~z{~Fw^_?~?~?^_Fw?~?B{??Fw?Fw?B{??~??Fw??^_~??~~??~^_?^fw?Fw~??~B{?B{?",
-        "5e6814318d81ec08",
+        7786,
+        "]XFN~z~~Nw~x?~?~?^wFx?~CB~G?Fw?Fw?B~??~G?Fw_?^x~??~~??~^_?^~w?Fx~??~F{?B~G",
+        "1619eecdbe080a92",
     ),
     (28, 6, 1500, 1): (
         10000,
@@ -278,10 +280,24 @@ def test_local_search_never_beats_exhaustive():
 
 
 def test_local_search_seeded_at_iterated_blowup():
-    # n = 25 starts from the depth-2 construction, so even a tiny budget
-    # cannot fall below its exact count
+    # for k >= 5 the walk starts from the nested balanced blow-up, which at
+    # n = 25 is the depth-2 iterated one, so even a tiny budget cannot fall
+    # below its exact count
     r = local_search_max(25, 5, budget=30, seed=0)
     assert r.best_count >= 3130
+
+
+@pytest.mark.parametrize("n,flat", [(26, 6 * 5**4), (30, 6**5)])
+def test_local_search_never_reports_less_than_the_recurrence(n, flat):
+    # the nested start beats the flat balanced blow-up at these n
+    r = local_search_max(n, 5, budget=40, seed=3)
+    assert r.best_count >= recurrence(n, 5) > flat
+
+
+def test_recurrence_attains_every_frozen_maximum():
+    for (n, k), best in FROZEN_MAX.items():
+        if k >= 5:
+            assert recurrence(n, k) == best, (n, k)
 
 
 def test_local_search_is_deterministic_per_seed():
