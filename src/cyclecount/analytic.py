@@ -1,10 +1,11 @@
 """Interval-proved verification of the scalar optimisation facts behind the
 per-vertex ceiling constant 128e/81 = max over z of (1/2) z^4 e^(5 - 3z).
 
-Every `certified_upper` comes from one branch-and-bound maximiser,
-`_maximise`, over boxes of outward-rounded intervals (`interval.Interval`),
-so it is a proved upper bound of the maximum and not a grid value plus an
-allowance (Tucker, Validated Numerics, 2011).
+Every `certified_upper` is a proved upper bound of the maximum, not a grid
+value plus an allowance (Tucker, Validated Numerics, 2011): it comes from
+outward-rounded intervals (`interval.Interval`), either through one
+branch-and-bound maximiser, `_maximise`, or, on a piece that a sign lemma
+proves monotone, as one enclosure at the end of the piece the lemma names.
 
 Monotonicity, also on the unbounded tails [1, inf), [2, inf) and [4, inf),
 follows from a sign lemma: each derivative is a positive constant times an
@@ -17,7 +18,6 @@ VerificationError.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -76,6 +76,12 @@ def _power_exp(scale, k, a, b):
         return out
 
     return (lambda box: term(box[0], k)), (lambda box: [term(box[0], k - 1) * (k - b * box[0])])
+
+
+def _at(params, x: float) -> Interval:
+    """The enclosure of scale x^k e^(a - bx), params = (scale, k, a, b), at
+    the point x: the supremum of a piece proved monotone towards x."""
+    return _power_exp(*params)[0]((Interval(x),))
 
 
 def _maximise(value, grad, box, target=None) -> OptResult:
@@ -138,11 +144,9 @@ def f_properties() -> OptResult:
     _prove((1 - Interval(0.0, 1.0))[0] >= 0, "x e^-x not increasing on [0, 1]")
     _prove((1 - Interval(1.0, INF))[1] <= 0, "x e^-x not decreasing on [1, inf)")
     _prove((Interval(1.0, 2.0) - 2)[1] <= 0, "x e^-x not concave on [1, 2]")
-    res = _maximise(*_power_exp(1, 1, 0, 1), [(0.0, 2.0)])
-    _prove(abs(res.max_value - 1 / math.e) <= 1e-12, "max of x e^-x differs from 1/e")
-    res.info.update(value_at_one=1 / math.e, increasing_below_one=True,
-                    decreasing_above_one=True, midpoint_concave_on_1_2=True)
-    return res
+    lo, hi = _at((1, 1, 0, 1), 1.0)
+    _prove(abs(lo - 1 / math.e) <= 1e-12, "max of x e^-x differs from 1/e")
+    return OptResult(lo, (1.0,), False, hi, {"boxes": 0, "closed_form": 1 / math.e})
 
 
 def verify_rangec() -> OptResult:
@@ -153,15 +157,13 @@ def verify_rangec() -> OptResult:
     low, high = Interval(0.0, 1.0), Interval(4.0, INF)
     _prove((low * (2 - low))[0] >= 0, "low-range supremum not attained increasingly at c=1")
     _prove((high * (2 - high))[1] <= 0, "high-range supremum not attained decreasingly at c=4")
-    r = _power_exp(0.5, 2, 3, 1)
-    res = _maximise(*r, [(0.0, 1.0)], target=RATIO[0])
-    at4 = _maximise(*r, [(4.0, 4.0)], target=RATIO[0])
-    _prove(abs(res.max_value - math.e**2 / 2) <= 1e-12
-           and abs(at4.max_value - 8 / math.e) <= 1e-12, "range suprema differ from closed forms")
-    res.certified_upper = max(res.certified_upper, at4.certified_upper)
-    res.info.update(boxes=res.info["boxes"] + at4.info["boxes"], sup_low=res.max_value,
-                    sup_high=at4.max_value)
-    return res
+    at1, at4 = (_at((0.5, 2, 3, 1), c) for c in (1.0, 4.0))
+    upper = max(at1[1], at4[1])
+    _prove(upper <= RATIO[0], f"range supremum {upper} exceeds 128e/81")
+    _prove(abs(at1[0] - math.e**2 / 2) <= 1e-12
+           and abs(at4[0] - 8 / math.e) <= 1e-12, "range suprema differ from closed forms")
+    return OptResult(at1[0], (1.0,), True, upper, {
+        "boxes": 0, "closed_form": math.e**2 / 2, "sup_low": at1[0], "sup_high": at4[0]})
 
 
 def _g_c(c):
@@ -188,7 +190,7 @@ def maximize_g_c(c: float) -> OptResult:
     _prove(scaled_upper <= 4.0 * (1 + 1e-9), f"rescaled slack product {scaled_upper} exceeds 4")
     _prove(scaled_upper < RATIO[0], f"rescaled slack product {scaled_upper} not below 128e/81")
     res.info.update(scaled_value=0.5 * math.exp(4.0 - c) * c * res.max_value,
-                    scaled_upper=scaled_upper, interior_strict_maxima=0)
+                    scaled_upper=scaled_upper)
     return res
 
 
@@ -236,8 +238,7 @@ def maximize_g_uw(c: float, x_u: float, x_w: float, z_uw: float) -> OptResult:
     face_gap = abs(res.max_value - closed_face)
     _prove(face_gap <= 1e-12, f"x = z face maximum {res.max_value} differs from {closed_face}")
     res.argmax = (z_uw, max(c, x_u + 1.0), max(c, x_w + 1.0))
-    res.info.update(face_closed_form=closed_face, face_gap=face_gap,
-                    equal_ratio_line_interior_maxima=0)
+    res.info.update(face_closed_form=closed_face, face_gap=face_gap)
     return res
 
 
@@ -256,45 +257,41 @@ def _dual_A(lam):
     return value, grad
 
 
-@functools.lru_cache(maxsize=1)
-def _dual_bound(c: float) -> tuple[float, OptResult]:
-    """The multiplier lam for c and the proved maximum over [1, c]^2 of
-    z^2 y e^-(z+y) - lam z (z - y). Both depend on c alone, so the one
-    cached entry serves every m asked for at the same c in a row."""
-    z_star = min(c, 1.5)
-    lam = z_star * math.exp(-2 * z_star) / 2
-    return lam, _maximise(*_dual_A(lam), [(1.0, c), (1.0, c)])
+def solve_A(c: float) -> OptResult:
+    """Maximise z^2 y e^-(z+y) subject to 1 <= y, z <= c and z^2 = y z, the
+    per-term bound of sum_i z_i^2 y_i e^-(z_i + y_i) subject to
+    1 <= y_i, z_i <= c and sum z_i^2 = sum y_i z_i, for c in [1, 2].
 
+    Weak duality: a feasible point has sum z_i (z_i - y_i) = 0, so for any
+    lam the m-term sum is at most m times the maximum over [1, c]^2 of
+    z^2 y e^-(z+y) - lam z (z - y), that is m times this certified_upper.
+    With z* = min(c, 3/2) and lam = z* e^(-2 z*)/2 the bound is attained at
+    the feasible point y_i = z_i = z*, with value m z*^3 e^(-2 z*); the m = 2
+    Lagrange relation z = (y^2 + y)/(3y - 2) at that shared y = z reads
+    z = 3/2.
 
-def solve_A(c: float, m: int) -> OptResult:
-    """Maximise sum_i z_i^2 y_i e^-(z_i + y_i) subject to 1 <= y_i, z_i <= c
-    and sum z_i^2 = sum y_i z_i, for c in [1, 2] and any m >= 1.
-
-    Weak duality: a feasible point has sum z_i (z_i - y_i) = 0, so the sum is
-    at most m times the maximum over [1, c]^2 of z^2 y e^-(z+y) - lam z (z - y)
-    for any lam. With z* = min(c, 3/2) and lam = z* e^(-2 z*)/2 that bound is
-    attained at the feasible point y_i = z_i = z*, with value m z*^3 e^(-2 z*).
-    That point is shared by every i, so the argmax is the one pair (z, y) with
-    z = y, whatever m is.
+    For every c in [1.5, 2], z* and lam are those of c = 2 and
+    [1, c]^2 lies in [1, 2]^2, so the one proof over [1, 2]^2 covers the
+    piece. For c < 3/2 equality holds along the corner (c, c), which moves
+    with c, so each such c is proved on its own.
     """
     if not 1.0 <= c <= 2.0:
         raise ValueError(f"need 1 <= c <= 2, got {c}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
     z_star = min(c, 1.5)
-    lam, dual = _dual_bound(c)
-    upper = (m * Interval(dual.certified_upper))[1]
-    closed = m * z_star**3 * math.exp(-2 * z_star)
-    # relative, since the dual's own gap to its maximum is multiplied by m
-    _prove(upper <= closed * (1 + 1e-9), f"dual bound {upper} exceeds the closed form {closed}")
+    lam = z_star * math.exp(-2 * z_star) / 2
+    side = (1.0, c if c < 1.5 else 2.0)
+    dual = _maximise(*_dual_A(lam), [side, side])
+    closed = z_star**3 * math.exp(-2 * z_star)
+    _prove(dual.certified_upper <= closed * (1 + 1e-9),
+           f"dual bound {dual.certified_upper} exceeds the closed form {closed}")
     z, y = dual.argmax
-    interior = 1.0 + 1e-6 < z < c - 1e-6
-    lagrange_ok = abs(z - (y * y + y) / (3 * y - 2)) <= 1e-5 if m == 2 and interior else None
-    _prove(lagrange_ok is not False, "stationarity relation z=(y^2+y)/(3y-2) fails")
-    max_value = m * z**3 * math.exp(-2 * z)  # at the feasible point y_i = z_i = z
-    return OptResult(max_value, (z, z), not interior, upper, {
-        "boxes": dual.info["boxes"], "closed_form": closed, "multiplier": lam,
-        "lagrange_ok": lagrange_ok})
+    interior = 1.0 + 1e-6 < z < side[1] - 1e-6
+    _prove(not interior or max(abs(z - z_star), abs(y - z_star)) <= 1e-5,
+           f"interior dual argmax {dual.argmax} is not within 1e-5 of z* = {z_star}")
+    max_value = z**3 * math.exp(-2 * z)  # at the feasible point y = z
+    _prove(abs(max_value - closed) <= 1e-3, f"maximum {max_value} differs from {closed}")
+    return OptResult(max_value, (z, z), not interior, dual.certified_upper, {
+        "boxes": dual.info["boxes"], "closed_form": closed, "multiplier": lam})
 
 
 def final_constant() -> OptResult:
@@ -309,31 +306,21 @@ def final_constant() -> OptResult:
     res = _maximise(*_power_exp(0.5, 4, 5, 3), [(1.0, 1.5)])
     _prove(abs(res.max_value - RATIO_UPPER) <= 1e-9, f"maximum {res.max_value} is not 128e/81")
     _prove(abs(res.argmax[0] - 4 / 3) <= 1e-6, f"argmax {res.argmax[0]} is not within 1e-6 of 4/3")
-    at_one = 0.5 * math.exp(2.0)
-    res.info.update(closed_form=RATIO_UPPER, value_at_one=at_one,
-                    value_at_one_matches_e2_half=abs(at_one - math.e**2 / 2) <= 1e-12)
+    res.info.update(closed_form=RATIO_UPPER, value_at_one=0.5 * math.exp(2.0))
     return res
 
 
-def verify_mindeg_chain(c: float) -> OptResult:
+def verify_mindeg_chain() -> OptResult:
     """Prove the two ceilings used when the scaled minimum degree
     c = k d / n is at least 2: (1/2) x^3 e^(4 - 2x) and 2 x e^(2 - x) fall on
     [2, inf), as their derivatives have the signs of x^2 (3 - 2x) and 1 - x,
     from their common value 4 at x = 2, which is below 128e/81.
     """
-    if not 2.0 <= c < INF:
-        raise ValueError(f"need finite c >= 2, got {c}")
     tail = Interval(2.0, INF)
     _prove((tail * tail * (3 - 2 * tail))[1] <= 0, "cubic chain not decreasing on [2, inf)")
     _prove((1 - tail)[1] <= 0, "linear chain not decreasing on [2, inf)")
-    res = _maximise(*_power_exp(0.5, 3, 4, 2), [(2.0, 2.0)], target=RATIO[0])
-    other = _maximise(*_power_exp(2, 1, 2, 1), [(2.0, 2.0)], target=RATIO[0])
-    res.max_value = max(res.max_value, other.max_value)
-    res.certified_upper = max(res.certified_upper, other.certified_upper)
-    _prove(abs(res.max_value - 4.0) <= 1e-12, f"chain supremum {res.max_value} differs from 4")
-    a_c = 0.5 * c**3 * math.exp(4.0 - 2.0 * c)
-    b_c = 2.0 * c * math.exp(2.0 - c)
-    _prove(max(a_c, b_c) <= 4.0 * (1 + 1e-12), f"chain value at c={c} exceeds 4")
-    res.info.update(boxes=res.info["boxes"] + other.info["boxes"], cubic_chain_at_c=a_c,
-                    linear_chain_at_c=b_c, both_below_four=True, below_ratio_upper=True)
-    return res
+    cubic, linear = _at((0.5, 3, 4, 2), 2.0), _at((2, 1, 2, 1), 2.0)
+    lo, hi = max(cubic[0], linear[0]), max(cubic[1], linear[1])
+    _prove(hi <= RATIO[0], f"chain supremum {hi} exceeds 128e/81")
+    _prove(abs(lo - 4.0) <= 1e-12, f"chain supremum {lo} differs from 4")
+    return OptResult(lo, (2.0,), True, hi, {"boxes": 0})

@@ -83,12 +83,8 @@ def is_induced_cycle(g: Graph, vertices) -> bool:
         raise ValueError("duplicate vertices in claimed cycle")
     if len(vs) < 3:
         raise ValueError("an induced cycle needs at least 3 vertices")
-    mask = 0
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} leaves 0..{g.n - 1}")
-        mask |= 1 << v
-    return _subset_is_cycle(g.rows, vs, mask)
+    _check_vertices(g, *vs)
+    return _subset_is_cycle(g.rows, vs, sum(1 << v for v in vs))
 
 
 def _check_k(g: Graph, k: int) -> None:

@@ -265,7 +265,8 @@ def exhaustive_max(n: int, k: int) -> SearchResult:
     """
     if not 3 <= k <= n:
         raise ValueError(f"need 3 <= k <= n, got k={k}, n={n}")
-    if 1 << (n - 1) > _WORK_LIMIT:
+    # 2^(n-1) > _WORK_LIMIT, compared by exponent so that no huge n is built
+    if n - 1 > _WORK_LIMIT.bit_length() - 1:
         raise ValueError(
             f"exhaustive search for n={n} needs more than {_WORK_LIMIT} vertex "
             f"extensions at its last level alone"

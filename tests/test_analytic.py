@@ -7,15 +7,14 @@ objective value and, through `mp.diff`, each derivative, and dense samples
 of the original (unreduced) objectives bound every maximum from below.
 """
 
+import dataclasses
 import itertools
 import math
 import random
-import time
 
 import pytest
 from mpmath import iv, mp
 
-from cyclecount import analytic
 from cyclecount.analytic import (
     RATIO,
     VerificationError,
@@ -36,7 +35,6 @@ from cyclecount.analytic import (
 )
 from cyclecount.bounds import RATIO_UPPER
 from cyclecount.interval import Interval
-from cyclecount.suites import analytic_suite
 
 INF = math.inf
 G_UW_PARAMS = [(1.0, 0.0, 0.0, 0.0), (1.5, 0.0, 0.0, 0.0), (1.9, 0.3, 0.2, 0.1),
@@ -66,8 +64,6 @@ def test_f_shape():
     assert abs(r.argmax[0] - 1.0) <= 1e-6
     assert not r.on_boundary
     assert r.certified_upper >= r.max_value
-    assert r.info["increasing_below_one"] and r.info["decreasing_above_one"]
-    assert r.info["midpoint_concave_on_1_2"]
 
 
 def test_f_vectorized():
@@ -93,7 +89,6 @@ def test_g_c_boundary_argmax(c):
     assert r.on_boundary
     assert r.info["scaled_value"] <= 4.0 * (1 + 1e-9)
     assert r.info["scaled_value"] < RATIO_UPPER
-    assert r.info["interior_strict_maxima"] == 0
     # the slack variable sits at its floor on the optimum
     assert r.argmax[0] == pytest.approx(c - 2.0, abs=1e-5)
 
@@ -136,20 +131,32 @@ def test_g_uw_validates_ordering():
         maximize_g_uw(2.5, 0.0, 0.0, 0.0)  # c out of [1, 2)
 
 
+def _m_terms(m, r):
+    """The m-term bound solve_A states: m times its per-term result."""
+    return dataclasses.replace(r, max_value=m * r.max_value,
+                               certified_upper=m * r.certified_upper)
+
+
 @pytest.mark.parametrize("c", [1.0, 1.2, 1.5, 2.0])
 @pytest.mark.parametrize("m", [1, 2])
 def test_solve_A_closed_form(c, m):
-    r = solve_A(c, m)
+    r = _m_terms(m, solve_A(c))
     zstar = min(c, 1.5)
     want = m * zstar**3 * math.exp(-2 * zstar)
     assert abs(r.max_value - want) <= 1e-3
     assert r.certified_upper >= want - 1e-12
 
 
-def test_solve_A_m3():
-    r = solve_A(2.0, 3)
-    want = 3 * 1.5**3 * math.exp(-3.0)
-    assert abs(r.max_value - want) <= 1e-2
+def test_solve_A_covers_c_from_1_5_to_2():
+    # z* = 3/2 and the multiplier do not move on [1.5, 2], and [1, c]^2 lies
+    # in [1, 2]^2, so every such c gets the c = 2 proof
+    at2 = solve_A(2.0)
+    for c in _grid(1.5, 2.0, 6):
+        r = solve_A(c)
+        assert r.info["closed_form"] == at2.info["closed_form"] == 1.5**3 * math.exp(-3.0)
+        assert r.info["multiplier"] == at2.info["multiplier"] == LAM
+        assert (r.max_value, r.argmax, r.certified_upper) == (
+            at2.max_value, at2.argmax, at2.certified_upper)
 
 
 def _primal_m2(z1, z2, y1):
@@ -160,13 +167,14 @@ def _primal_m2(z1, z2, y1):
 
 def test_solve_A_lagrange_relation():
     # at the interior optimum the multiplier equality z = (y^2+y)/(3y-2) holds
-    r = solve_A(2.0, 2)
+    r = _m_terms(2, solve_A(2.0))
     assert not r.on_boundary
     z, y = r.argmax
     assert abs(z - (y * y + y) / (3 * y - 2)) <= 1e-2
-    assert r.info["lagrange_ok"]
-    # the primal with y_2 eliminated is stationary at (z_1, z_2, y_1)
+    # the two-term primal with y_2 eliminated is stationary at (z_1, z_2, y_1),
+    # with the value of twice the per-term bound
     point = (z, z, y)
+    assert abs(_primal_m2(*map(mp.mpf, point)) - r.max_value) <= 1e-12
     for i in range(3):
         order = tuple(int(j == i) for j in range(3))
         assert abs(mp.diff(_primal_m2, point, order)) <= 1e-5
@@ -174,42 +182,9 @@ def test_solve_A_lagrange_relation():
 
 def test_solve_A_validates():
     with pytest.raises(ValueError):
-        solve_A(0.5, 2)
+        solve_A(0.5)
     with pytest.raises(ValueError):
-        solve_A(1.5, 0)
-    # weak duality bounds every m the same way
-    assert solve_A(1.5, 4).max_value == pytest.approx(4 * 1.5**3 * math.exp(-3.0), abs=1e-9)
-    assert solve_A(2.0, 10**5).certified_upper >= 10**5 * 1.5**3 * math.exp(-3.0)
-
-
-def test_solve_A_huge_m_is_prompt():
-    # the argmax is the one shared pair, not 2m copies of z
-    start = time.perf_counter()
-    r = solve_A(1.0, 10**9)
-    assert time.perf_counter() - start < 5.0
-    assert r.argmax == (1.0, 1.0)
-    assert math.isclose(r.certified_upper, 10**9 * math.exp(-2.0), rel_tol=1e-9)
-
-
-def test_solve_A_proves_each_dual_once_per_c(monkeypatch):
-    proved = []
-
-    def counting(value, grad, box, target=None):
-        if value.__qualname__.startswith("_dual_A."):
-            proved.append(box[0][1])
-        return _maximise(value, grad, box, target)
-
-    monkeypatch.setattr(analytic, "_maximise", counting)
-    analytic._dual_bound.cache_clear()
-    suite = analytic_suite()
-    assert sum(c["name"].startswith("product_sum_") for c in suite["checks"]) == 8
-    assert proved == [1.0, 1.2, 1.5, 2.0]
-    # one cached c at a time: a c seen before the last one is proved again
-    solve_A(1.0, 1)
-    assert proved == [1.0, 1.2, 1.5, 2.0, 1.0]
-    # the cached result is shared, and solve_A leaves it as it was
-    first, again = solve_A(1.0, 2), solve_A(1.0, 2)
-    assert first.info == again.info and first.argmax == again.argmax
+        solve_A(2.5)
 
 
 def test_final_constant():
@@ -218,7 +193,6 @@ def test_final_constant():
     assert abs(r.argmax[0] - 4 / 3) <= 1e-6
     assert not r.on_boundary
     assert r.info["value_at_one"] == pytest.approx(math.e**2 / 2, abs=1e-9)
-    assert r.info["value_at_one_matches_e2_half"]
 
     # derivative changes sign across the optimum and vanishes at the argmax
     def h(z):
@@ -228,25 +202,11 @@ def test_final_constant():
     assert abs(mp.diff(h, r.argmax[0])) <= 1e-5
 
 
-@pytest.mark.parametrize("c", [2.0, 3.0, 5.0])
-def test_mindeg_chain(c):
-    r = verify_mindeg_chain(c)
+def test_mindeg_chain():
+    r = verify_mindeg_chain()
     assert r.max_value == pytest.approx(4.0, abs=1e-12)
-    assert r.max_value < RATIO_UPPER
-    assert r.info["both_below_four"] and r.info["below_ratio_upper"]
-    assert r.info["cubic_chain_at_c"] <= 4.0 * (1 + 1e-12)
-    assert r.info["linear_chain_at_c"] <= 4.0 * (1 + 1e-12)
-
-
-def test_mindeg_chain_values_and_decrease():
-    at2 = verify_mindeg_chain(2.0)
-    # both expressions hit 4 exactly at c = 2, then fall away
-    assert at2.info["cubic_chain_at_c"] == pytest.approx(4.0, abs=1e-12)
-    assert at2.info["linear_chain_at_c"] == pytest.approx(4.0, abs=1e-12)
-    at25 = verify_mindeg_chain(2.5)
-    assert at25.info["cubic_chain_at_c"] < at2.info["cubic_chain_at_c"]
-    at3 = verify_mindeg_chain(3.0)
-    assert at3.info["linear_chain_at_c"] == pytest.approx(6 / math.e, abs=1e-12)
+    assert r.max_value <= r.certified_upper < RATIO_UPPER
+    assert r.argmax == (2.0,) and r.on_boundary
 
 
 def test_verification_error_is_runtime_error():
@@ -459,7 +419,7 @@ def _dense_cases():
         (verify_rangec, lambda: _dense_max(lambda c: c * c * mp.exp(3 - c) / 2,
                                            _grid(0, 1, 101) + _grid(4, 20, 1601))),
         (final_constant, lambda: _dense_max(_power(0.5, 4, 5, 3), _grid(1, 1.5, 501))),
-        (lambda: verify_mindeg_chain(2.0),
+        (verify_mindeg_chain,
          lambda: max(_dense_max(_power(0.5, 3, 4, 2), _grid(2, 30, 281)),
                      _dense_max(_power(2, 1, 2, 1), _grid(2, 30, 281)))),
     ]
@@ -469,9 +429,9 @@ def _dense_cases():
     for params in G_UW_PARAMS:
         cases.append((lambda p=params: maximize_g_uw(*p),
                       lambda p=params: _g_uw_original_max(*p)))
-    for c in (1.2, 1.5, 2.0):
+    for c in (1.2, 1.5, 1.75, 2.0):
         for m in (1, 2):
-            cases.append((lambda c=c, m=m: solve_A(c, m),
+            cases.append((lambda c=c, m=m: _m_terms(m, solve_A(c)),
                           lambda c=c, m=m: _primal_feasible_max(c, m)))
     return cases
 
@@ -506,9 +466,8 @@ def test_maximiser_proves_where_the_maximum_lies():
 
 
 def test_monotone_claims_hold_on_unbounded_tails():
-    # the chain ceilings are proved on [2, inf), so any finite c >= 2 passes
-    far = verify_mindeg_chain(1e6)
-    assert far.info["cubic_chain_at_c"] == 0.0 and far.info["linear_chain_at_c"] == 0.0
-    with pytest.raises(ValueError):
-        verify_mindeg_chain(INF)
+    # a sign lemma on the tail places each supremum at the tail's finite end,
+    # so it takes one enclosure there and no maximiser box
+    for r in (f_properties(), verify_rangec(), verify_mindeg_chain()):
+        assert r.info["boxes"] == 0
     assert verify_rangec().info["sup_high"] == pytest.approx(8 / math.e, abs=1e-12)

@@ -195,9 +195,10 @@ def test_search_exhaustive_refuses_n_above_ceiling(capsys, monkeypatch):
 
     monkeypatch.setattr(search, "_lower_bound", no_work)
     monkeypatch.setattr(search, "_cascade", no_work)
-    code, _, err = run_cli(capsys, "search", "--n", "24", "--k", "5")
-    assert code == 1
-    assert err.startswith("error:")
+    for n in ("24", str(2**64)):  # a huge n is refused by its exponent alone
+        code, _, err = run_cli(capsys, "search", "--n", n, "--k", "5")
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_search_local(capsys):
@@ -517,7 +518,7 @@ def cli_cases(draw):
         argv += draw(_opt("--mode", ["fast", "oracle"])) + draw(st.sampled_from([[], ["--check"]]))
         argv += draw(_opt("--roots", ["all", "0,1", "-1", "99"]))
     else:
-        n = draw(st.sampled_from(["-1", "0", "3", "4", "5", "6", "7", "x"]))
+        n = draw(st.sampled_from(["-1", "0", "3", "4", "5", "6", "7", str(2**64), "x"]))
         argv = ["search", "--n", n, "--k", draw(st.sampled_from(["-1", "0", "3", "4", "5", "6", "8"]))]
         if draw(st.booleans()):
             argv += ["--mode", "local", "--n", draw(st.sampled_from(["-1", "3", "4", "8", "12"]))]
