@@ -29,7 +29,7 @@ from .constructions import (
 from .counting import _check_vertices, count_fast, count_oracle, count_rooted
 from .graph import Graph, _check_order
 from .search import exhaustive_max, local_search_max
-from .suites import run_suites
+from .suites import _SUITES, run_suites
 
 
 def _now() -> str:
@@ -114,8 +114,17 @@ def _get_graph(args, seed: int | None) -> tuple[Graph, dict]:
 
 def cmd_count(args, manifest: dict) -> int:
     g, manifest["input_digest"] = _get_graph(args, args.seed)
-    t0 = time.perf_counter()
     every_root = args.roots == "all"
+    roots = []
+    if args.roots and not every_root:
+        try:
+            roots = [int(t) for t in args.roots.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--roots takes 'all' or comma-separated vertices, got {args.roots!r}"
+            ) from None
+        _check_vertices(g, *roots)
+    t0 = time.perf_counter()
     if args.mode == "oracle":
         report = count_oracle(g, args.k, rooted=bool(args.roots))
     else:
@@ -125,14 +134,7 @@ def cmd_count(args, manifest: dict) -> int:
     payload["m"] = g.num_edges
     payload["mode"] = args.mode
     payload["runtime_ms"] = (time.perf_counter() - t0) * 1000
-    if args.roots and not every_root:
-        try:
-            roots = [int(t) for t in args.roots.split(",")]
-        except ValueError:
-            raise ValueError(
-                f"--roots takes 'all' or comma-separated vertices, got {args.roots!r}"
-            ) from None
-        _check_vertices(g, *roots)
+    if roots:
         payload["rooted"] = {
             str(v): report.rooted[v] if args.mode == "oracle" else count_rooted(g, args.k, v)
             for v in roots
@@ -219,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", default="all",
-                          choices=("analytic", "bounds", "identities", "headline", "all"))
+    p_verify.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -63,6 +63,31 @@ def _twin_update(g, k: int, v_minus: int, v_plus: int, total: int) -> int:
     )
 
 
+def _handshake_failures(g, k: int) -> list[str]:
+    """The handshakes that fail on g at k: `vertex` for k * total against
+    the credited vector's sum, and `vertex@v`, `edge@v` and `cherry@v` for
+    vertex v's pinned-root, edge and cherry sums against its credit."""
+    failures = []
+    report = count_fast(g, k, rooted=True)
+    if k * report.total != sum(report.rooted.values()):
+        failures.append("vertex")
+    for v in range(g.n):
+        # the one-pass vector sums to k * total by construction, so it is
+        # checked vertex by vertex against the pinned-root enumeration
+        if report.rooted[v] != count_rooted(g, k, v):
+            failures.append(f"vertex@{v}")
+        edge_sum = sum(count_edge_rooted(g, k, v, w) for w in g.neighbors(v))
+        if edge_sum != 2 * report.rooted[v]:
+            failures.append(f"edge@{v}")
+        cherry_sum = sum(
+            count_cherry_rooted(g, k, u, v, w)
+            for u, w in nonadjacent_neighbor_pairs(g, v)
+        )
+        if cherry_sum != 2 * report.rooted[v]:
+            failures.append(f"cherry@{v}")
+    return failures
+
+
 def identities_suite() -> dict:
     """Exact combinatorial identities: vertex/edge/cherry handshakes on
     random graphs and the neighborhood-swap count identity (k >= 5),
@@ -72,23 +97,8 @@ def identities_suite() -> dict:
     handshake_fail = []
     for i, (name, g) in enumerate(graphs):
         k = IDENTITY_KS[i % len(IDENTITY_KS)]
-        report = count_fast(g, k, rooted=True)
-        if k * report.total != sum(report.rooted.values()):
-            handshake_fail.append((name, k, "vertex", io.to_graph6(g)))
-        for v in range(g.n):
-            # the one-pass vector sums to k * total by construction, so it is
-            # checked vertex by vertex against the pinned-root enumeration
-            if report.rooted[v] != count_rooted(g, k, v):
-                handshake_fail.append((name, k, f"vertex@{v}", io.to_graph6(g)))
-            edge_sum = sum(count_edge_rooted(g, k, v, w) for w in g.neighbors(v))
-            if edge_sum != 2 * report.rooted[v]:
-                handshake_fail.append((name, k, f"edge@{v}", io.to_graph6(g)))
-            cherry_sum = sum(
-                count_cherry_rooted(g, k, u, v, w)
-                for u, w in nonadjacent_neighbor_pairs(g, v)
-            )
-            if cherry_sum != 2 * report.rooted[v]:
-                handshake_fail.append((name, k, f"cherry@{v}", io.to_graph6(g)))
+        handshake_fail += [(name, k, label, io.to_graph6(g))
+                           for label in _handshake_failures(g, k)]
     checks.append({
         "name": "handshake_identities",
         "passed": not handshake_fail,
@@ -139,10 +149,42 @@ def identities_suite() -> dict:
     return _suite("identities", checks)
 
 
-def _violation(entry, k: int, where: str, count: int, ceiling) -> tuple:
-    """A failed bound check: the instance with its graph6, and the ceiling
-    written exactly, as a fraction or a constant times one."""
-    return (entry.name, k, where, count, str(ceiling), io.to_graph6(entry.graph))
+def _lemma_instances(g, k: int, heavy: bool = False):
+    """(lemma, vertices, count, ceiling, constant) for every instance of the
+    paper's ceilings on g at k: the global one, each vertex, and unless heavy
+    each edge and, for k >= 6, each induced 2-path u-v-w (cherry). With
+    constant None the ceiling is the exact `Fraction`; otherwise constant is
+    (name, low) and the ceiling is that constant times `ceiling`."""
+    n = g.n
+    report = count_fast(g, k, rooted=True)
+    yield "global", (), report.total, 2 * Fraction(n, k) ** k, ("e", E_LOWER)
+    degs = g.degree_sequence()
+    for v in range(n):
+        yield "vertex", (v,), report.rooted[v], vertex_bound(n, k, degs[v]), None
+    if heavy:
+        return
+    for u, w in g.edges():
+        ceiling = edge_bound(n, k, degs[u], degs[w], codegree(g, u, w))
+        yield "edge", (u, w), count_edge_rooted(g, k, u, w), ceiling, None
+    if k < 6:
+        return
+    for v in range(n):
+        for u, w in nonadjacent_neighbor_pairs(g, v):
+            ceiling = cherry_bound(
+                n, k, degs[u], degs[v], degs[w],
+                codegree(g, u, v), codegree(g, v, w), codegree(g, u, w),
+                triple_codegree(g, u, v, w),
+            )
+            yield "cherry", (u, v, w), count_cherry_rooted(g, k, u, v, w), ceiling, None
+
+
+def _exceeds(count: int, ceiling, constant) -> bool:
+    """Whether count is above the ceiling: exactly when constant is None,
+    else as count / ceiling against constant[1], a float proved to be at
+    most the constant."""
+    if constant is None:
+        return count > ceiling
+    return Fraction(count) / ceiling > constant[1]
 
 
 def bounds_suite() -> dict:
@@ -152,58 +194,26 @@ def bounds_suite() -> dict:
     Every comparison is exact; a violation names the instance's graph6 and
     writes its ceiling as a fraction string.
     """
-    checks = []
     violations = []
     evaluated = {"vertex": 0, "edge": 0, "cherry": 0, "global": 0}
     for entry in standard_corpus():
-        g = entry.graph
-        n = g.n
         for k in BOUND_KS:
-            if k > n:
+            if k > entry.graph.n:
                 continue
-            report = count_fast(g, k, rooted=True)
-            scale = 2 * Fraction(n, k) ** k
-            evaluated["global"] += 1
-            if Fraction(report.total) / scale > E_LOWER:
-                violations.append(_violation(entry, k, "global", report.total, f"e*{scale}"))
-            degs = g.degree_sequence()
-            for v in range(n):
-                vb = vertex_bound(n, k, degs[v])
-                evaluated["vertex"] += 1
-                if report.rooted[v] > vb:
-                    violations.append(
-                        _violation(entry, k, f"vertex@{v}", report.rooted[v], vb)
-                    )
-            if entry.heavy:
-                continue
-            for u, w in g.edges():
-                actual = count_edge_rooted(g, k, u, w)
-                eb = edge_bound(n, k, degs[u], degs[w], codegree(g, u, w))
-                evaluated["edge"] += 1
-                if actual > eb:
-                    violations.append(_violation(entry, k, f"edge@{u},{w}", actual, eb))
-            if k < 6:
-                continue
-            for v in range(n):
-                for u, w in nonadjacent_neighbor_pairs(g, v):
-                    actual = count_cherry_rooted(g, k, u, v, w)
-                    cb = cherry_bound(
-                        n, k, degs[u], degs[v], degs[w],
-                        codegree(g, u, v), codegree(g, v, w), codegree(g, u, w),
-                        triple_codegree(g, u, v, w),
-                    )
-                    evaluated["cherry"] += 1
-                    if actual > cb:
-                        violations.append(
-                            _violation(entry, k, f"cherry@{u},{v},{w}", actual, cb)
-                        )
-    checks.append({
+            for lemma, vertices, count, ceiling, constant in _lemma_instances(
+                    entry.graph, k, entry.heavy):
+                evaluated[lemma] += 1
+                if _exceeds(count, ceiling, constant):
+                    where = f"{lemma}@{','.join(map(str, vertices))}" if vertices else lemma
+                    text = str(ceiling) if constant is None else f"{constant[0]}*{ceiling}"
+                    violations.append((entry.name, k, where, count, text,
+                                       io.to_graph6(entry.graph)))
+    return _suite("bounds", [{
         "name": "bound_soundness_zero_violations",
         "passed": not violations,
         "evaluated": evaluated,
         "violations": violations,
-    })
-    return _suite("bounds", checks)
+    }])
 
 
 def headline_suite() -> dict:
@@ -215,7 +225,6 @@ def headline_suite() -> dict:
     against (128e/81)(n/k)^(k-1) (1 + 10/n), exactly as count over the
     rational part against a float proved to be at most 128e/81.
     """
-    checks = []
     failures = []
     cases = {"low": 0, "bracket": 0, "high": 0}
     for entry in standard_corpus():
@@ -227,25 +236,19 @@ def headline_suite() -> dict:
             if k > n:
                 continue
             c = Fraction(k * d, n)
-            if c < 1:
-                case = "low"
-            elif c < 2:
-                case = "bracket"
-            else:
-                case = "high"
+            case = "low" if c < 1 else "bracket" if c < 2 else "high"
             cases[case] += 1
             actual = count_rooted(g, k, v)
             scale = Fraction(n, k) ** (k - 1) * Fraction(n + 10, n)
-            if Fraction(actual) / scale > RATIO_LOWER:
+            if _exceeds(actual, scale, ("128e/81", RATIO_LOWER)):
                 failures.append((entry.name, k, str(c), case, actual,
                                  f"128e/81*{scale}", io.to_graph6(g)))
-    checks.append({
+    return _suite("headline", [{
         "name": "min_degree_vertex_ceiling",
         "passed": not failures,
         "case_counts": cases,
         "failures": failures,
-    })
-    return _suite("headline", checks)
+    }])
 
 
 def analytic_suite() -> dict:
@@ -286,17 +289,12 @@ def analytic_suite() -> dict:
     return _suite("analytic", checks)
 
 
+# the suites in the run order of `verify --suite all`; name runs name_suite,
+# looked up when it runs, so a wrapped or patched suite function is the one run
+_SUITES = ("analytic", "identities", "bounds", "headline")
+
+
 def run_suites(which: str = "all") -> list[dict]:
-    names = ("identities", "bounds", "analytic", "headline")
-    if which != "all" and which not in names:
-        raise ValueError(f"unknown suite {which!r}; choose from {names} or 'all'")
-    out = []
-    if which in ("all", "analytic"):
-        out.append(analytic_suite())
-    if which in ("all", "identities"):
-        out.append(identities_suite())
-    if which in ("all", "bounds"):
-        out.append(bounds_suite())
-    if which in ("all", "headline"):
-        out.append(headline_suite())
-    return out
+    if which != "all" and which not in _SUITES:
+        raise ValueError(f"unknown suite {which!r}; choose from {_SUITES} or 'all'")
+    return [globals()[f"{name}_suite"]() for name in _SUITES if which in ("all", name)]

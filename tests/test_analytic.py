@@ -192,7 +192,6 @@ def test_final_constant():
     assert abs(r.max_value - RATIO_UPPER) <= 1e-9
     assert abs(r.argmax[0] - 4 / 3) <= 1e-6
     assert not r.on_boundary
-    assert r.info["value_at_one"] == pytest.approx(math.e**2 / 2, abs=1e-9)
 
     # derivative changes sign across the optimum and vanishes at the argmax
     def h(z):

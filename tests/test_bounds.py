@@ -1,7 +1,6 @@
 """Closed-form ceilings."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -20,8 +19,7 @@ from cyclecount.counting import (
     count_fast,
     count_rooted,
 )
-from cyclecount.graph import codegree, nonadjacent_neighbor_pairs, triple_codegree
-from cyclecount.suites import E_LOWER
+from cyclecount.suites import _exceeds, _lemma_instances
 
 
 def test_constants():
@@ -58,24 +56,8 @@ def test_cherry_bound_worked_example():
 )
 def test_bounds_hold_on_random_graphs(n, seed, k):
     g = random_graph(n, 0.45, seed)
-    if k > g.n:
-        return
-    rep = count_fast(g, k, rooted=True)
-    assert Fraction(rep.total) / (2 * Fraction(g.n, k) ** k) <= E_LOWER
-    for v in range(g.n):
-        assert rep.rooted[v] <= vertex_bound(g.n, k, g.degree(v))
-        if k >= 5:
-            for w in g.neighbors(v):
-                b = edge_bound(g.n, k, g.degree(v), g.degree(w), codegree(g, v, w))
-                assert count_edge_rooted(g, k, v, w) <= b
-        if k >= 6:
-            for u, w in nonadjacent_neighbor_pairs(g, v):
-                b = cherry_bound(
-                    g.n, k, g.degree(u), g.degree(v), g.degree(w),
-                    codegree(g, u, v), codegree(g, v, w), codegree(g, u, w),
-                    triple_codegree(g, u, v, w),
-                )
-                assert count_cherry_rooted(g, k, u, v, w) <= b
+    for lemma, vertices, count, ceiling, constant in _lemma_instances(g, k):
+        assert not _exceeds(count, ceiling, constant), (lemma, vertices)
 
 
 def test_petersen_vertex_bound():

@@ -174,6 +174,27 @@ def test_bad_roots_are_clean_errors(capsys, mode, roots, message):
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("mode", ["fast", "oracle"])
+@pytest.mark.parametrize("roots, message", [
+    ("0,x", "error: --roots takes 'all' or comma-separated vertices, got '0,x'"),
+    ("0,999", "error: vertex 999 leaves 0..124"),
+])
+def test_bad_roots_are_refused_before_counting(capsys, monkeypatch, mode, roots, message):
+    # the 125-vertex blow-up used to be counted in full before its roots
+    # were read
+    def count(*args, **kwargs):
+        raise AssertionError("counted before the roots were checked")
+
+    monkeypatch.setattr(cli, "count_fast", count)
+    monkeypatch.setattr(cli, "count_oracle", count)
+    code, payload, err = run_cli(
+        capsys, "count", "--construct", "iterated-blowup:C5:depth=3", "--k", "5",
+        "--mode", mode, "--roots", roots,
+    )
+    assert code == 1 and payload is None
+    assert err == message + "\n"
+
+
 def test_search_exhaustive(capsys):
     code, payload, err = run_cli(capsys, "search", "--n", "6", "--k", "4")
     assert code == 0
@@ -390,10 +411,13 @@ def test_cli_import_does_not_load_numpy():
 
 # Reports of eleven commands recorded from the CLI before the run manifest
 # became a plain dict and `--roots all` took its vector from the selected
-# mode's own counter, and `verify --suite analytic` recorded before the
-# interval operators were written out, with the `boxes` count of each check
-# added since; "{input}" stands for the path of a graph6 file of the
-# Petersen graph. Runtimes and timestamps are left out of the comparison.
+# mode's own counter; `verify --suite analytic` recorded before the interval
+# operators were written out, with the `boxes` count of each check added
+# since; and `verify --suite bounds` and `verify --suite headline` recorded
+# before the bounds suite took its instances from `_lemma_instances`, whose
+# `evaluated` and `case_counts` catch an instance skipped on the corpus.
+# "{input}" stands for the path of a graph6 file of the Petersen graph.
+# Runtimes and timestamps are left out of the comparison.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 

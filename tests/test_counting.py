@@ -119,20 +119,34 @@ def test_rooted_vector_equals_oracle_and_pinned(n, p, seed, k):
     st.integers(min_value=5, max_value=7),
 )
 def test_handshake_identities(n, seed, k):
-    g = random_graph(n, 0.4, seed)
-    rep = count_fast(g, k, rooted=True)
-    assert k * rep.total == sum(rep.rooted.values())
-    for v in range(g.n):
-        # the credited vector sums to k * total by construction, so each
-        # entry is held against the pinned-root enumeration
-        assert rep.rooted[v] == count_rooted(g, k, v), f"vertex {v}"
-        edge_sum = sum(count_edge_rooted(g, k, v, w) for w in g.neighbors(v))
-        assert edge_sum == 2 * rep.rooted[v]
-        cherry_sum = sum(
-            count_cherry_rooted(g, k, u, v, w)
-            for u, w in nonadjacent_neighbor_pairs(g, v)
-        )
-        assert cherry_sum == 2 * rep.rooted[v]
+    assert suites._handshake_failures(random_graph(n, 0.4, seed), k) == []
+
+
+@pytest.mark.parametrize("counter, kind", [
+    ("count_rooted", "vertex"),
+    ("count_edge_rooted", "edge"),
+    ("count_cherry_rooted", "cherry"),
+])
+def test_handshakes_name_a_counter_one_too_high(monkeypatch, counter, kind):
+    # every vertex of this graph lies on an edge and in the middle of an
+    # induced 2-path, so each handshake fails at every vertex
+    g = random_graph(10, 0.4, 0)
+    assert all(list(nonadjacent_neighbor_pairs(g, v)) for v in range(g.n))
+    real = getattr(suites, counter)
+    monkeypatch.setattr(suites, counter, lambda *args: real(*args) + 1)
+    assert suites._handshake_failures(g, 6) == [f"{kind}@{v}" for v in range(g.n)]
+
+
+def test_handshakes_name_a_total_one_too_high(monkeypatch):
+    real = suites.count_fast
+
+    def count(g, k, rooted=False):
+        report = real(g, k, rooted=rooted)
+        report.total += 1
+        return report
+
+    monkeypatch.setattr(suites, "count_fast", count)
+    assert suites._handshake_failures(random_graph(10, 0.4, 0), 6) == ["vertex"]
 
 
 def test_rooted_counts_on_transitive_graphs():
@@ -193,13 +207,7 @@ def test_symmetrise_identity(n, seed, k, data):
     # chordless 4-cycle inside the k-cycle: impossible once k >= 5
     assert count_containing_pair(g2, k, v_minus, v_plus) == 0
     lhs = count_fast(g2, k).total
-    rhs = (
-        count_fast(g, k).total
-        - count_rooted(g, k, v_minus)
-        + count_rooted(g, k, v_plus)
-        - count_containing_pair(g, k, v_minus, v_plus)
-    )
-    assert lhs == rhs
+    assert lhs == suites._twin_update(g, k, v_minus, v_plus, count_fast(g, k).total)
 
 
 def test_symmetrise_suite_checks_distinct_samples(monkeypatch):
@@ -235,13 +243,7 @@ def test_symmetrise_identity_exact_on_c7_all_pairs():
     base = count_fast(g, 7).total
     for v_minus, v_plus in itertools.permutations(range(7), 2):
         g2 = symmetrise(g, v_minus, v_plus)
-        rhs = (
-            base
-            - count_rooted(g, 7, v_minus)
-            + count_rooted(g, 7, v_plus)
-            - count_containing_pair(g, 7, v_minus, v_plus)
-        )
-        assert count_fast(g2, 7).total == rhs
+        assert count_fast(g2, 7).total == suites._twin_update(g, 7, v_minus, v_plus, base)
 
 
 def test_symmetrise_identity_fails_for_k4():
@@ -250,12 +252,7 @@ def test_symmetrise_identity_fails_for_k4():
     g = from_edge_list(4, [(1, 2), (2, 3)])
     g2 = symmetrise(g, 0, 2)
     lhs = count_fast(g2, 4).total
-    rhs = (
-        count_fast(g, 4).total
-        - count_rooted(g, 4, 0)
-        + count_rooted(g, 4, 2)
-        - count_containing_pair(g, 4, 0, 2)
-    )
+    rhs = suites._twin_update(g, 4, 0, 2, count_fast(g, 4).total)
     assert lhs == 1 and rhs == 0
     assert is_induced_cycle(g2, [1, 2, 3, 0])
 
