@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .bounds import RATIO_UPPER
 from .interval import Interval
@@ -45,11 +46,6 @@ class OptResult:
     on_boundary: bool
     certified_upper: float
     info: dict = field(default_factory=dict)
-
-
-def f(x):
-    """x e^-x, the decay-weighted slack factor."""
-    return x * math.e ** -x
 
 
 def _prove(claim: bool, what: str) -> None:
@@ -166,80 +162,70 @@ def verify_rangec() -> OptResult:
         "boxes": 0, "closed_form": math.e**2 / 2, "sup_low": at1[0], "sup_high": at4[0]})
 
 
-def _g_c(c):
-    """Enclosures of (c - x) f(c_w - x) and of its gradient in (x, c_w)."""
+def _g_c():
+    """Enclosures of u f(u + v) and of its gradient in (u, v)."""
 
     def grad(b):
-        t = b[1] - b[0]
-        dw = (c - b[0]) * (1 - t) * t.exp_neg()  # (c - x) f'(t)
-        return [-(_f_iv(t) + dw), dw]
+        u, t = b[0], b[0] + b[1]
+        dv = u * (1 - t) * t.exp_neg()  # u f'(u + v)
+        return [_f_iv(t) + dv, dv]
 
-    return (lambda b: (c - b[0]) * _f_iv(b[1] - b[0])), grad
+    return (lambda b: b[0] * _f_iv(b[0] + b[1])), grad
 
 
-def maximize_g_c(c: float) -> OptResult:
-    """Maximise (c - x)(c_w - x) e^-(c_w - x) over [0, c] x [c, 4] for c in
-    [2, 4]: every maximiser must be proved on the boundary, and the rescaled
-    value (1/2) e^(4-c) c max must stay <= 4 < 128e/81.
+def maximize_g_c() -> OptResult:
+    """Maximise the slack product (c - x)(c_w - x) e^-(c_w - x) over
+    [0, c] x [c, 4] for every c in [2, 4] at once, and prove that the
+    rescaled value (1/2) c e^(4-c) max stays <= 4 < 128e/81.
+
+    With u = c - x and v = c_w - c the product is u f(u + v), which does
+    not contain c, over [0, c] x [0, 4 - c]. Each such domain lies inside
+    the box [0, 4] x [0, 2] and contains the box's argmax (u, v) = (2, 0),
+    which is proved on the boundary v = 0. So every c has the box's
+    maximum 4/e^2, at x = c - 2 and c_w = c; argmax is reported as (u, v).
+    (1/2) c e^(4-c) has the derivative (1/2) e^(4-c) (1 - c) <= 0 on [2, 4],
+    so the rescaled value is largest at c = 2.
     """
-    if not 2.0 <= c <= 4.0:
-        raise ValueError(f"need 2 <= c <= 4, got {c}")
-    res = _maximise(*_g_c(c), [(0.0, c), (c, 4.0)])
-    _prove(res.on_boundary, f"interior argmax of the slack product for c={c}")
-    scaled_upper = (0.5 * c * (Interval(c) - 4).exp_neg() * res.certified_upper)[1]
+    res = _maximise(*_g_c(), [(0.0, 4.0), (0.0, 2.0)])
+    _prove(res.on_boundary, "interior argmax of the slack product")
+    closed = 4 * math.exp(-2)
+    _prove(abs(res.max_value - closed) <= 1e-12,
+           f"slack product maximum {res.max_value} differs from 4/e^2")
+    _prove((1 - Interval(2.0, 4.0))[1] <= 0, "rescaling not decreasing on [2, 4]")
+    rescale = _at((0.5, 1, 4, 1), 2.0)
+    scaled_upper = (rescale * res.certified_upper)[1]
     _prove(scaled_upper <= 4.0 * (1 + 1e-9), f"rescaled slack product {scaled_upper} exceeds 4")
     _prove(scaled_upper < RATIO[0], f"rescaled slack product {scaled_upper} not below 128e/81")
-    res.info.update(scaled_value=0.5 * math.exp(4.0 - c) * c * res.max_value,
+    res.info.update(closed_form=closed, scaled_value=rescale[0] * res.max_value,
                     scaled_upper=scaled_upper)
     return res
 
 
-def _g_uw(c, x_u, x_w):
-    """Enclosures of phi(s) = f(q_u(s)) f(q_w(s)) e^-s and of phi'(s)."""
-
-    def q(x_v, s):
-        # the clamp is nondecreasing in both arguments, which fall as s grows
-        lo, hi = Interval(c) - x_v - s, Interval(4.0) - x_v - s
-        return Interval(min(max(1.0, lo[0]), hi[0]), min(max(1.0, lo[1]), hi[1]))
-
-    def grad(b):
-        qu, qw = q(x_u, b[0]), q(x_w, b[0])
-        return [(b[0] + qu + qw).exp_neg() * ((qu - 1) * (qw - 1) - 1)]
-
-    return (lambda b: _f_iv(q(x_u, b[0])) * _f_iv(q(x_w, b[0])) * b[0].exp_neg()), grad
-
-
-def maximize_g_uw(c: float, x_u: float, x_w: float, z_uw: float) -> OptResult:
-    """Maximise the two-ended slack product
+def maximize_g_uw() -> OptResult:
+    """Prove the supremum e^-2 = f(1)^2 of the two-ended slack product
     (c_u - x_u - x + z)(c_w - x_w - x + z) e^-(c_u + c_w - x_u - x_w - x + z)
     over c <= c_u, c_w <= 4, x >= z, with both linear factors >= 0, for
-    1 <= c < 2.
+    every 1 <= c < 2 and 0 <= z <= x_u, x_w <= c.
 
     With s = x - z, a = c_u - x_u - s and b = c_w - x_w - s it is
     f(a) f(b) e^-s. As f is unimodal, the best a for a fixed s is
     q_u(s) = min(max(1, c - x_u - s), 4 - x_u - s), and likewise q_w(s) for
-    b. That leaves phi(s) = f(q_u) f(q_w) e^-s on [0, min(4 - x_u, 4 - x_w)],
+    b. That leaves phi(s) = f(q_u) f(q_w) e^-s on [0, 4 - max(x_u, x_w)],
     with phi' = e^-(s + q_u + q_w) ((q_u - 1)(q_w - 1) - 1) in every regime.
+    Each clamp lies in [0, 2], and a bilinear form on [0, 2]^2 is largest
+    at a corner, where this one is at most 0. So phi falls from
+    phi(0) = f(max(1, c - x_u)) f(max(1, c - x_w)) <= f(1)^2, which
+    c = 1, x_u = x_w = z = x = 0, c_u = c_w = 1 attains; argmax is that
+    point (c, x_u, x_w, z, x, c_u, c_w).
     """
-    if not 1.0 <= c < 2.0:
-        raise ValueError(f"need 1 <= c < 2, got {c}")
-    if not (0.0 <= z_uw <= min(x_u, x_w) and max(x_u, x_w) <= c):
-        raise ValueError(f"parameter ordering violated: need 0 <= z <= x_u, x_w <= c, got "
-                         f"z={z_uw}, x_u={x_u}, x_w={x_w}, c={c}")
-    res = _maximise(*_g_uw(c, x_u, x_w), [(0.0, min(4.0 - x_u, 4.0 - x_w))])
-    _prove(res.on_boundary and res.argmax == (0.0,),
-           f"interior argmax for the two-ended slack product, c={c}")
-    # on the line c_u = c_w = c it is f(a) f(b) e^-s with a <= a0 = c - x_u
-    # and b <= b0 = c - x_w, whose log slope 1 - 1/a - 1/b <= 1 - 1/a0 - 1/b0
-    a0, b0 = Interval(c) - x_u, Interval(c) - x_w
-    if a0[0] > 0 and b0[0] > 0:
-        _prove((1 - 1 / a0 - 1 / b0)[1] < 0, "interior local max on the equal-ratio line")
-    closed_face = f(max(1.0, c - x_u)) * f(max(1.0, c - x_w))
-    face_gap = abs(res.max_value - closed_face)
-    _prove(face_gap <= 1e-12, f"x = z face maximum {res.max_value} differs from {closed_face}")
-    res.argmax = (z_uw, max(c, x_u + 1.0), max(c, x_w + 1.0))
-    res.info.update(face_closed_form=closed_face, face_gap=face_gap)
-    return res
+    # q_v >= min(1, 4 - x_v - s) >= min(1, 0), as s <= 4 - max(x_u, x_w);
+    # q_v <= max(1, c - x_v - s) <= max(1, 2 - 0 - 0), as c <= 2, x_v, s >= 0
+    clamp = (min(1, 0), max(1, 2 - 0 - 0))
+    corners = [(Fraction(a) - 1) * (Fraction(b) - 1) - 1 for a in clamp for b in clamp]
+    _prove(max(corners) <= 0, f"phi' not <= 0 for clamps in {list(clamp)}")
+    sup = E_INV * E_INV  # f <= 1/e, by f_properties
+    return OptResult(sup[0], (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0), True, sup[1],
+                     {"boxes": 0, "closed_form": math.exp(-2)})
 
 
 def _dual_A(lam):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -26,10 +27,15 @@ from .constructions import (
     petersen,
     random_graph,
 )
-from .counting import _check_vertices, count_fast, count_oracle, count_rooted
+from .counting import _check_k, _check_vertices, count_fast, count_oracle, count_rooted
 from .graph import Graph, _check_order
 from .search import exhaustive_max, local_search_max
 from .suites import _SUITES, run_suites
+
+
+# the most k-subsets `--mode oracle` and `--check` may examine, about two
+# seconds of the subset oracle
+_ORACLE_LIMIT = 1 << 22
 
 
 def _now() -> str:
@@ -124,6 +130,12 @@ def cmd_count(args, manifest: dict) -> int:
                 f"--roots takes 'all' or comma-separated vertices, got {args.roots!r}"
             ) from None
         _check_vertices(g, *roots)
+    if args.mode == "oracle" or args.check:
+        _check_k(g, args.k)
+        subsets = math.comb(g.n, args.k)
+        if subsets > _ORACLE_LIMIT:
+            raise ValueError(f"the subset oracle would examine C({g.n}, {args.k}) = "
+                             f"{subsets} subsets, more than {_ORACLE_LIMIT}")
     t0 = time.perf_counter()
     if args.mode == "oracle":
         report = count_oracle(g, args.k, rooted=bool(args.roots))

@@ -98,7 +98,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     One uniform draw per vertex pair in row-major order ((0,1), (0,2), ...,
     (n-2,n-1)); the pair (u, w) becomes an edge iff its draw is < p. The
     generator family is fixed, so a (n, p, seed) triple names one graph on
-    every platform.
+    every platform. The draws come in chunks of 2^20, the same stream as
+    one array of all n(n - 1)/2 of them, which would not fit in memory at
+    the largest n.
     """
     _check_order(n)
     p = float(p)
@@ -107,15 +109,15 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random(n * (n - 1) // 2)
+    pairs = n * (n - 1) // 2
+    starts = np.cumsum(np.arange(n, 0, -1)) - n  # the index of the pair (u, u + 1)
     rows = [0] * n
-    idx = 0
-    for u in range(n):
-        for w in range(u + 1, n):
-            if draws[idx] < p:
-                rows[u] |= 1 << w
-                rows[w] |= 1 << u
-            idx += 1
+    for lo in range(0, pairs, 1 << 20):
+        hits = lo + np.flatnonzero(rng.random(min(1 << 20, pairs - lo)) < p)
+        us = np.searchsorted(starts, hits, side="right") - 1
+        for u, w in zip(us.tolist(), (hits - starts[us] + us + 1).tolist()):
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
     return Graph(n, rows)
 
 

@@ -384,6 +384,7 @@ def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
     it, so this equals the number of cycles traversing vw as a cycle edge.
     """
     _check_k(g, k)
+    _check_vertices(g, v, w)
     if not g.has_edge(v, w):
         raise ValueError(f"({v}, {w}) is not an edge")
     return _through_pair(g, k, v, w)
@@ -398,6 +399,7 @@ def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
     """
     if not 4 <= k <= g.n:
         raise ValueError(f"need 4 <= k <= n={g.n}, got k={k}")
+    _check_vertices(g, u, v, w)
     if u == w:
         raise ValueError("cherry endpoints must be distinct")
     rows = g.rows

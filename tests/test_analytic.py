@@ -8,6 +8,7 @@ of the original (unreduced) objectives bound every maximum from below.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -21,10 +22,8 @@ from cyclecount.analytic import (
     _dual_A,
     _f_iv,
     _g_c,
-    _g_uw,
     _maximise,
     _power_exp,
-    f,
     f_properties,
     final_constant,
     maximize_g_c,
@@ -37,8 +36,13 @@ from cyclecount.bounds import RATIO_UPPER
 from cyclecount.interval import Interval
 
 INF = math.inf
+# (c, x_u, x_w, z) with 1 <= c < 2 and 0 <= z <= x_u, x_w <= c: tuples with
+# both clamps at 1, with both above it, with one of each, near c = 2 and
+# with x_v = c
 G_UW_PARAMS = [(1.0, 0.0, 0.0, 0.0), (1.5, 0.0, 0.0, 0.0), (1.9, 0.3, 0.2, 0.1),
-               (1.2, 1.0, 0.5, 0.25)]
+               (1.2, 1.0, 0.5, 0.25), (1.99, 0.0, 0.0, 0.0), (1.99, 0.7, 0.05, 0.05),
+               (1.7, 1.7, 0.4, 0.4), (1.3, 0.3, 0.0, 0.0), (1.6, 1.1, 1.6, 0.9)]
+G_C_CS = [2.0, 2.25, 2.5, 3.0, 3.5, 4.0]
 LAM = 1.5 * math.exp(-3.0) / 2  # the multiplier solve_A uses when c >= 3/2
 
 
@@ -66,14 +70,6 @@ def test_f_shape():
     assert r.certified_upper >= r.max_value
 
 
-def test_f_vectorized():
-    assert f(0.0) == 0.0 and abs(f(1.0) - 1 / math.e) < 1e-15
-    assert f(1.0) == pytest.approx(1 / math.e)
-    assert f(2.0) == pytest.approx(2 * math.e**-2)
-    # one concrete concavity instance on [1, 2]
-    assert f(1.5) >= (f(1.0) + f(2.0)) / 2
-
-
 def test_rangec_suprema():
     r = verify_rangec()
     assert abs(r.info["sup_low"] - math.e**2 / 2) <= 1e-12
@@ -83,52 +79,98 @@ def test_rangec_suprema():
     assert r.max_value == pytest.approx(math.e**2 / 2)
 
 
-@pytest.mark.parametrize("c", [2.0, 2.5, 3.0, 4.0])
+def _g_c_original(c):
+    """The slack product (c - x)(c_w - x) e^-(c_w - x) at one c."""
+    return lambda x, w: (c - x) * (w - x) * mp.exp(x - w)
+
+
+@pytest.mark.parametrize("c", G_C_CS)
 def test_g_c_boundary_argmax(c):
-    r = maximize_g_c(c)
-    assert r.on_boundary
-    assert r.info["scaled_value"] <= 4.0 * (1 + 1e-9)
+    # the box's argmax (u, v) = (2, 0) lies in this c's domain, at the slack
+    # floor x = c - 2 and c_w = c, where the original product takes the
+    # proved maximum
+    r = maximize_g_c()
+    assert r.on_boundary and r.argmax[1] == 0.0
+    assert r.argmax[0] == pytest.approx(2.0, abs=1e-5)
+    x, w = c - 2.0, c
+    assert 0 <= x <= c <= w <= 4
+    assert r.max_value - 1e-12 <= _g_c_original(c)(mp.mpf(x), mp.mpf(w)) <= r.certified_upper
     assert r.info["scaled_value"] < RATIO_UPPER
-    # the slack variable sits at its floor on the optimum
-    assert r.argmax[0] == pytest.approx(c - 2.0, abs=1e-5)
 
 
 def test_g_c_scaled_value_at_2_is_exactly_4():
-    r = maximize_g_c(2.0)
+    r = maximize_g_c()
     assert r.info["scaled_value"] == pytest.approx(4.0, abs=1e-9)
+    assert 4.0 <= r.info["scaled_upper"] <= 4.0 * (1 + 1e-9)
+    # the rescaling (1/2) c e^(4-c) times the maximum, sampled over [2, 4],
+    # peaks at c = 2
+    rescaled = [c * mp.exp(4 - c) / 2 * 4 * mp.exp(-2) for c in _grid(2, 4, 201)]
+    assert max(rescaled) == rescaled[0] <= r.info["scaled_upper"]
 
 
-def test_g_c_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        maximize_g_c(1.9)
-    with pytest.raises(ValueError):
-        maximize_g_c(4.1)
+def _clamp(c, xv, s):
+    return min(max(1, c - xv - s), 4 - xv - s)
 
 
-@pytest.mark.parametrize(
-    "params",
-    [(1.0, 0.0, 0.0, 0.0), (1.5, 0.0, 0.0, 0.0), (1.9, 0.3, 0.2, 0.1), (1.2, 1.0, 0.5, 0.25)],
-)
+def _phi(c, xu, xw):
+    """phi(s) = f(q_u(s)) f(q_w(s)) e^-s, written from its definition."""
+    def phi(s):
+        qu, qw = _clamp(c, xu, s), _clamp(c, xw, s)
+        return qu * qw * mp.exp(-qu - qw - s)
+
+    return phi
+
+
+def test_g_uw_derivative_formula():
+    # phi' = e^-(s + q_u + q_w) ((q_u - 1)(q_w - 1) - 1), derived by hand and
+    # used by maximize_g_uw only through its sign, against mp.diff
+    rng = random.Random(11)
+    for _ in range(300):
+        c = mp.mpf(rng.uniform(1, 2))
+        xu, xw = mp.mpf(rng.uniform(0, c)), mp.mpf(rng.uniform(0, c))
+        s = mp.mpf(rng.uniform(0, 4 - max(xu, xw)))
+        qu, qw = _clamp(c, xu, s), _clamp(c, xw, s)
+        want = mp.exp(-s - qu - qw) * ((qu - 1) * (qw - 1) - 1)
+        got = mp.diff(_phi(c, xu, xw), s)
+        assert abs(got - want) <= 1e-20, (c, xu, xw, s)
+        assert want <= 0
+
+
+@functools.cache
+def _g_uw_original_max(c, xu, xw, z):
+    """The two-ended slack product on a grid of the original (x, c_u, c_w),
+    including the maximiser (z, max(c, x_u + 1), max(c, x_w + 1))."""
+
+    def value(x, cu, cw):
+        a, b = cu - xu - x + z, cw - xw - x + z
+        if a < 0 or b < 0:
+            return mp.mpf("-inf")
+        return a * b * mp.exp(-(cu + cw - xu - xw - x + z))
+
+    x_hi = min(4 - xu, 4 - xw) + z
+    cs = _grid(c, 4, 21) + [max(c, xu + 1), max(c, xw + 1)]
+    return _dense_max(value, _grid(z, x_hi, 21), cs, cs)
+
+
+@pytest.mark.parametrize("params", G_UW_PARAMS)
 def test_g_uw_two_ended_slack(params):
-    r = maximize_g_uw(*params)
-    assert r.on_boundary
-    assert r.max_value <= math.exp(-2) * (1 + 1e-6) + 1e-4
-    assert r.certified_upper >= r.max_value
+    # each tuple's maximum is its closed form f(max(1, c - x_u)) f(max(1, c - x_w)),
+    # at most the one proved supremum
+    c, xu, xw, z = params
+    closed = math.prod(q * math.exp(-q) for q in (max(1, c - xu), max(1, c - xw)))
+    assert abs(_g_uw_original_max(*params) - closed) <= 1e-12
+    assert closed <= maximize_g_uw().certified_upper
 
 
 def test_g_uw_face_value_matches_closed_form():
-    c, xu, xw, z = 1.0, 0.0, 0.0, 0.0
-    r = maximize_g_uw(c, xu, xw, z)
-    # both degree factors at their constrained floor of 1
-    want = f(max(1.0, c - xu)) * f(max(1.0, c - xw))
-    assert r.max_value == pytest.approx(want, abs=1e-6)
-
-
-def test_g_uw_validates_ordering():
-    with pytest.raises(ValueError, match="ordering"):
-        maximize_g_uw(1.5, 0.1, 0.2, 0.3)  # z above min(xu, xw)
-    with pytest.raises(ValueError):
-        maximize_g_uw(2.5, 0.0, 0.0, 0.0)  # c out of [1, 2)
+    r = maximize_g_uw()
+    c, xu, xw, z, x, cu, cw = map(mp.mpf, r.argmax)
+    assert 1 <= c < 2 and 0 <= z <= min(xu, xw) and max(xu, xw) <= c <= min(cu, cw)
+    assert x == z  # on the face s = 0
+    value = (cu - xu - x + z) * (cw - xw - x + z) * mp.exp(-(cu + cw - xu - xw - x + z))
+    assert r.on_boundary and r.info["boxes"] == 0
+    assert r.max_value <= value <= r.certified_upper
+    assert abs(value - r.info["closed_form"]) <= 1e-16
 
 
 def _m_terms(m, r):
@@ -342,16 +384,13 @@ def _objectives():
     ]
     out.append(("f_iv", lambda b: _f_iv(b[0]), lambda b: [], [(0.0, 4.0)],
                 lambda x: x * mp.exp(-x)))
+    out.append(("g_c", *_g_c(), [(0.0, 4.0), (0.0, 2.0)],
+                lambda u, v: u * (u + v) * mp.exp(-u - v)))
+    # on each c's domain [0, c] x [0, 4 - c], the original product at
+    # x = c - u and c_w = c + v
     for c in (2.0, 2.5, 4.0):
-        out.append((f"g_c({c})", *_g_c(c), [(0.0, c), (c, 4.0)],
-                    lambda x, w, c=c: (c - x) * (w - x) * mp.exp(x - w)))
-    for c, xu, xw, _ in G_UW_PARAMS:
-        def phi(s, c=c, xu=xu, xw=xw):
-            qu, qw = (min(max(1, c - xv - s), 4 - xv - s) for xv in (xu, xw))
-            return qu * qw * mp.exp(-qu - qw - s)
-
-        out.append((f"g_uw{c, xu, xw}", *_g_uw(c, xu, xw),
-                    [(0.0, min(4 - xu, 4 - xw))], phi))
+        out.append((f"g_c({c})", *_g_c(), [(0.0, c), (0.0, 4.0 - c)],
+                    lambda u, v, c=c: _g_c_original(c)(c - u, c + v)))
     out.append(("dual_A", *_dual_A(LAM), [(1.0, 2.0), (1.0, 2.0)],
                 lambda z, y: z * z * y * mp.exp(-z - y) - LAM * z * (z - y)))
     return out
@@ -385,21 +424,6 @@ def _dense_max(fn, *axes):
     return max(fn(*map(mp.mpf, p)) for p in itertools.product(*axes))
 
 
-def _g_uw_original_max(c, xu, xw, z):
-    """The two-ended slack product on a grid of the original (x, c_u, c_w),
-    including the maximiser (z, max(c, x_u + 1), max(c, x_w + 1))."""
-
-    def value(x, cu, cw):
-        a, b = cu - xu - x + z, cw - xw - x + z
-        if a < 0 or b < 0:
-            return mp.mpf("-inf")
-        return a * b * mp.exp(-(cu + cw - xu - xw - x + z))
-
-    x_hi = min(4 - xu, 4 - xw) + z
-    cs = _grid(c, 4, 21) + [max(c, xu + 1), max(c, xw + 1)]
-    return _dense_max(value, _grid(z, x_hi, 21), cs, cs)
-
-
 def _primal_feasible_max(c, m):
     """The product sum at the feasible grid points, y_m eliminated."""
     if m == 1:  # z^2 = y z forces y = z
@@ -422,12 +446,13 @@ def _dense_cases():
          lambda: max(_dense_max(_power(0.5, 3, 4, 2), _grid(2, 30, 281)),
                      _dense_max(_power(2, 1, 2, 1), _grid(2, 30, 281)))),
     ]
-    for c in (2.0, 2.5, 3.0, 4.0):
-        cases.append((lambda c=c: maximize_g_c(c), lambda c=c: _dense_max(
-            lambda x, w: (c - x) * (w - x) * mp.exp(x - w), _grid(0, c, 81), _grid(c, 4, 41))))
+    # one proof for every c in [2, 4] and every (c, x_u, x_w, z), each grid
+    # holding its maximiser
+    for c in G_C_CS:
+        cases.append((lambda: maximize_g_c(), lambda c=c: _dense_max(
+            _g_c_original(c), _grid(0, c, 81) + [c - 2], _grid(c, 4, 41))))
     for params in G_UW_PARAMS:
-        cases.append((lambda p=params: maximize_g_uw(*p),
-                      lambda p=params: _g_uw_original_max(*p)))
+        cases.append((lambda: maximize_g_uw(), lambda p=params: _g_uw_original_max(*p)))
     for c in (1.2, 1.5, 1.75, 2.0):
         for m in (1, 2):
             cases.append((lambda c=c, m=m: _m_terms(m, solve_A(c)),
@@ -451,7 +476,7 @@ def test_target_below_a_known_maximum_raises():
         _maximise(*h, [(1.0, 1.5)], target=RATIO_UPPER - 1e-6)
     assert _maximise(*h, [(1.0, 1.5)], target=RATIO_UPPER + 1e-9).certified_upper >= RATIO[0]
     with pytest.raises(VerificationError, match="exceeds"):
-        _maximise(*_g_c(2.0), [(0.0, 2.0), (2.0, 4.0)], target=4 * math.exp(-2) - 1e-6)
+        _maximise(*_g_c(), [(0.0, 4.0), (0.0, 2.0)], target=4 * math.exp(-2) - 1e-6)
 
 
 def test_maximiser_proves_where_the_maximum_lies():

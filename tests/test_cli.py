@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -195,6 +196,22 @@ def test_bad_roots_are_refused_before_counting(capsys, monkeypatch, mode, roots,
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("flags", [["--mode", "oracle"], ["--check"]])
+def test_oracle_is_refused_above_its_subset_limit(capsys, monkeypatch, flags):
+    # C(125, 5) subsets once took the oracle about 100 s
+    def count(*args, **kwargs):
+        raise AssertionError("counted before the subset limit was checked")
+
+    monkeypatch.setattr(cli, "count_oracle", count)
+    monkeypatch.setattr(cli, "count_fast", count)
+    code, payload, err = run_cli(
+        capsys, "count", "--construct", "iterated-blowup:C5:depth=3", "--k", "5", *flags
+    )
+    assert code == 1 and payload is None
+    assert err == ("error: the subset oracle would examine C(125, 5) = 234531275 "
+                   "subsets, more than 4194304\n")
+
+
 def test_search_exhaustive(capsys):
     code, payload, err = run_cli(capsys, "search", "--n", "6", "--k", "4")
     assert code == 0
@@ -375,6 +392,21 @@ def test_oversize_constructs_are_refused_before_allocating(capsys, monkeypatch):
         assert "error: vertex count" in err
 
 
+def test_large_random_graph_fits_a_limited_address_space():
+    # drawing all n(n - 1)/2 doubles at once needs 1.49 GiB at n = 20000
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))  # 1.5 GiB
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "cyclecount.cli", "count", "--construct",
+         "random:20000,1/10000", "--seed", "1", "--k", "3"],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=limit,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["report"]["n"] == 20000
+
+
 def test_reports_are_deterministic(capsys):
     def strip(payload):
         payload["manifest"].pop("started_at")
@@ -411,9 +443,9 @@ def test_cli_import_does_not_load_numpy():
 
 # Reports of eleven commands recorded from the CLI before the run manifest
 # became a plain dict and `--roots all` took its vector from the selected
-# mode's own counter; `verify --suite analytic` recorded before the interval
-# operators were written out, with the `boxes` count of each check added
-# since; and `verify --suite bounds` and `verify --suite headline` recorded
+# mode's own counter; `verify --suite analytic` recorded when each slack
+# product became one proof over its whole parameter range; and
+# `verify --suite bounds` and `verify --suite headline` recorded
 # before the bounds suite took its instances from `_lemma_instances`, whose
 # `evaluated` and `case_counts` catch an instance skipped on the corpus.
 # "{input}" stands for the path of a graph6 file of the Petersen graph.

@@ -1,8 +1,10 @@
 """Constructions: blow-ups, nested blow-ups, random graphs, Petersen."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from cyclecount.constructions import (
@@ -17,7 +19,7 @@ from cyclecount.constructions import (
 )
 from cyclecount.cli import parse_construct
 from cyclecount.counting import count_fast, count_oracle
-from cyclecount.graph import codegree
+from cyclecount.graph import codegree, from_edge_list
 
 from blowup_recurrence import recurrence
 
@@ -184,6 +186,21 @@ def test_random_graph_extremes():
         random_graph(0, 0.5, 1)
     with pytest.raises(ValueError):
         random_graph(5, 1.5, 1)
+
+
+def _one_array_random_graph(n, p, seed):
+    """G(n, p) from one array of all n(n - 1)/2 draws, walked pair by pair:
+    the construction as first written, kept as the reference."""
+    draws = np.random.Generator(np.random.PCG64(seed)).random(n * (n - 1) // 2)
+    edges = [pair for pair, x in zip(itertools.combinations(range(n), 2), draws) if x < p]
+    return from_edge_list(n, edges)
+
+
+@pytest.mark.parametrize("n,p,seed", [(1, 0.5, 0), (2, 1.0, 1), (17, 0.1, 7), (64, 0.5, 0),
+                                      (300, 0.0, 1), (1500, 0.1, 7)])
+def test_random_graph_equals_the_one_array_draw(n, p, seed):
+    # 1500 vertices give 1,124,250 pairs, past the first 2^20 chunk
+    assert random_graph(n, p, seed) == _one_array_random_graph(n, p, seed)
 
 
 def test_petersen_shape():

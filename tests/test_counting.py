@@ -520,13 +520,16 @@ def test_argument_validation():
 
 @pytest.mark.parametrize("v,w", [(0, -1), (-1, 0), (0, 6), (9, 0)])
 def test_vertices_outside_the_graph_are_refused(v, w):
-    # -1 once wrapped round to vertex 5 in symmetrise, and the pair count
-    # reported 0 for a vertex the graph does not have
+    # -1 once wrapped round to vertex 5 in symmetrise and in the edge and
+    # cherry counts, and the pair count reported 0 for a vertex the graph
+    # does not have
     g = cycle(6)
     for call in (
         lambda: symmetrise(g, v, w),
         lambda: count_containing_pair(g, 5, v, w),
         lambda: cycles_through(g, 5, v, w),
+        lambda: count_edge_rooted(g, 5, v, w),
+        lambda: count_cherry_rooted(g, 5, v, w, 1),
     ):
         with pytest.raises(ValueError, match="leaves 0..5"):
             call()
