@@ -23,6 +23,7 @@ from cyclecount.constructions import (
     random_graph,
 )
 from cyclecount.counting import (
+    _smallest_last,
     count_cherry_rooted,
     count_containing_pair,
     count_edge_rooted,
@@ -110,6 +111,52 @@ def test_rooted_vector_equals_oracle_and_pinned(n, p, seed, k):
     credited = count_fast(g, k, rooted=True).rooted
     assert credited == count_oracle(g, k, rooted=True).rooted
     assert [credited[v] for v in range(n)] == [count_rooted(g, k, v) for v in range(n)]
+
+
+@pytest.mark.parametrize("n", [31, 32, 40])
+def test_rooted_vector_follows_relabelling_across_the_order_cut(n):
+    # from n = 32 and k = 4 on, count_fast counts in smallest-last order and
+    # maps the credited vector back; count_rooted pins the root in label order
+    rng = random.Random(n)
+    g = random_graph(n, 0.3, n)
+    for k in range(3, 8):
+        base = count_fast(g, k, rooted=True)
+        assert base.total > 0
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = from_edge_list(n, [(perm[u], perm[w]) for u, w in g.edges()])
+            rep = count_fast(h, k, rooted=True)
+            assert rep.total == base.total
+            assert rep.rooted == {perm[v]: c for v, c in base.rooted.items()}
+            assert rep.rooted == {v: count_rooted(h, k, v) for v in range(n)}
+
+
+@pytest.mark.parametrize("n, p", [(32, 0.1), (40, 0.08), (60, 0.05)])
+def test_smallest_last_order(n, p):
+    g = random_graph(n, p, n)
+    h, order, roots = _smallest_last(g)
+    assert 0 < h.n < n and len(set(order)) == len(order) == h.n
+    # h is g's subgraph on the vertices kept, with order[i] renamed to i
+    assert all(h.has_edge(i, j) == g.has_edge(order[i], order[j])
+               for i in range(h.n) for j in range(h.n))
+    later = [(h.rows[i] >> (i + 1)).bit_count() for i in range(h.n)]
+    assert roots == [i for i in range(h.n) if later[i] >= 2] and roots[0] == 0
+    # each vertex has the least degree among the vertices from it on
+    for i in range(h.n):
+        assert later[i] == min((h.rows[j] >> i).bit_count() for j in range(i, h.n))
+    # the vertices dropped lie on no cycle, and the rest are credited back
+    for k in range(3, 7):
+        assert count_fast(g, k, rooted=True).rooted == {
+            v: count_rooted(g, k, v) for v in range(n)
+        }
+
+
+def test_smallest_last_order_keeps_no_vertex_of_a_forest():
+    path = from_edge_list(40, [(v, v + 1) for v in range(39)])
+    h, order, roots = _smallest_last(path)
+    assert (h.n, order, roots) == (0, [], [])
+    assert count_fast(path, 5, rooted=True).rooted == dict.fromkeys(range(40), 0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -258,11 +305,13 @@ def test_symmetrise_identity_fails_for_k4():
 
 
 def test_threads_agree_with_single():
-    g = random_graph(24, 0.4, 5)
-    a = count_fast(g, 6, rooted=True)
-    b = count_fast(g, 6, rooted=True, threads=2)
-    assert a.total == b.total
-    assert a.rooted == b.rooted
+    # n = 24 counts in label order, n = 40 in smallest-last order
+    for n, p in ((24, 0.4), (40, 0.3)):
+        g = random_graph(n, p, 5)
+        a = count_fast(g, 6, rooted=True)
+        b = count_fast(g, 6, rooted=True, threads=2)
+        assert a.total == b.total
+        assert a.rooted == b.rooted
 
 
 @pytest.mark.parametrize("threads,cpus,workers", [(2, 4, 2), (40, 4, 4), (3, None, 1)])
