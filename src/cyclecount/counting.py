@@ -12,12 +12,13 @@ free to close, one popcount per closing vertex.
 `count_fast` roots each cycle at its first vertex in an order of the
 vertices and breaks direction by requiring the second vertex to come before
 the closing one in that order, so every induced k-cycle is generated exactly
-once. For n >= 32 the order is smallest-last, where each vertex has the
-fewest neighbours among the vertices after it, so the walks from each root
-stay narrow; the graph is relabelled into that order first, and the walks
-compare labels as before. Below n = 32, where the ordering costs about what
-it saves, and for triangles, which every order finds with one popcount per
-edge, the order is the label order. With rooted=True the same
+once. For n >= 32 the order is the degeneracy order, where each vertex has
+the fewest neighbours among the vertices after it (the reverse of Matula and
+Beck's smallest-last order), so the walks from each root stay narrow; the
+graph is relabelled into that order first, and the walks compare labels as
+before. Below n = 32, where the ordering costs about what it saves, and for
+triangles, which every order finds with one popcount per edge, the order is
+the label order. With rooted=True the same
 pass credits vertices at closure (each path vertex with the completions below
 it, each closing vertex with one), which yields the whole per-vertex vector in
 one canonical pass. `count_rooted` pins the root instead; the edge and
@@ -335,25 +336,29 @@ def _through_pair(g: Graph, k: int, v: int, w: int, credit=None) -> int:
     return total
 
 
-# Below this order the smallest-last ordering costs about what it saves.
+# Below this order the degeneracy ordering costs about what it saves.
 _ORDERED_FROM = 32
 
 
-def _smallest_last(g: Graph) -> tuple[Graph, list[int], list[int]]:
-    """g in smallest-last order (Matula and Beck, J. ACM 30, 1983), as
-    (h, order, roots): order[i] of g is vertex i of h, and roots are the
-    vertices of h with at least two neighbours after them.
+def _degeneracy_order(g: Graph) -> tuple[Graph | None, list[int], list[int]]:
+    """g in degeneracy order, as (h, order, roots): order[i] of g is vertex i
+    of h, and roots are the vertices of h with two neighbours after them.
 
-    Each vertex in turn has the least degree among the vertices not yet
-    taken, and the smallest label among those. The bucket queue is one
-    bitset of vertices per degree; taking a vertex lowers the least degree
-    by at most one, so the scan for the next nonempty bucket takes O(n + m)
-    steps in all. The rows of h are built from integer ranks.
+    Vertex i of the order is the i-th one removed when each step removes a
+    vertex of least degree among those left, the smallest label among ties,
+    so each vertex has the fewest neighbours among the vertices after it.
+    This is the smallest-last order of Matula and Beck (J. ACM 30, 1983)
+    read backwards: they place the vertex removed first last. The bucket
+    queue is one bitset of vertices per degree; a removal lowers the least
+    degree by at most one, so the scan for the next nonempty bucket takes
+    O(n + m) steps in all. The rows of h are built from integer ranks.
 
-    A vertex with fewer than two neighbours after it roots no cycle, and no
-    walk goes back before its root, so h keeps only the vertices from the
-    first root on; the others lie on no cycle. When the vertices kept are
-    all of g in label order, as for the cycle 0, 1, ..., n - 1, h is g.
+    A vertex removed with fewer than two neighbours left lies on no cycle of
+    the vertices left, so h keeps only the vertices from the first root on;
+    when there is none, g is a forest and h is None. When the vertices kept
+    are all of g in label order, as for the cycle 0, 1, ..., n - 1, h is g.
+    The other vertices of h root no cycle either, so only the roots are
+    counted from.
     """
     rows = g.rows
     degree = [row.bit_count() for row in rows]
@@ -387,6 +392,8 @@ def _smallest_last(g: Graph) -> tuple[Graph, list[int], list[int]]:
             bucket[degree[w]] |= low
         d = max(d - 1, 0)
     order = order[first:]
+    if not roots:
+        return None, [], []
     if order == list(range(g.n)):
         return g, order, roots
     rank = [0] * g.n
@@ -413,7 +420,8 @@ def _count_roots_block(args) -> tuple[int, list[int] | None]:
 def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> CountReport:
     """Induced k-cycle count via canonical path extension (3 <= k <= n).
 
-    Each cycle is rooted at its first vertex in smallest-last order when
+    Each cycle is rooted at its first vertex in degeneracy order (each
+    vertex has the fewest neighbours among the vertices after it) when
     n >= 32 and k >= 4, in label order otherwise, and walked in the one
     direction in which its second vertex comes before its closing one in
     that order.
@@ -426,11 +434,12 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
     _check_k(g, k)
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
+    h, order, roots = g, None, range(g.n)
     if g.n >= _ORDERED_FROM and k > 3:
-        h, order, roots = _smallest_last(g)
-    else:
-        h, order, roots = g, None, range(g.n)
-    if threads > 1:
+        h, order, roots = _degeneracy_order(g)
+    if not roots:  # g is a forest
+        total, credit = 0, [] if rooted else None
+    elif threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the import path
 
         blocks = [(h, k, roots[start::threads], rooted) for start in range(threads)]

@@ -23,7 +23,7 @@ from cyclecount.constructions import (
     random_graph,
 )
 from cyclecount.counting import (
-    _smallest_last,
+    _degeneracy_order,
     count_cherry_rooted,
     count_containing_pair,
     count_edge_rooted,
@@ -115,7 +115,7 @@ def test_rooted_vector_equals_oracle_and_pinned(n, p, seed, k):
 
 @pytest.mark.parametrize("n", [31, 32, 40])
 def test_rooted_vector_follows_relabelling_across_the_order_cut(n):
-    # from n = 32 and k = 4 on, count_fast counts in smallest-last order and
+    # from n = 32 and k = 4 on, count_fast counts in degeneracy order and
     # maps the credited vector back; count_rooted pins the root in label order
     rng = random.Random(n)
     g = random_graph(n, 0.3, n)
@@ -133,9 +133,9 @@ def test_rooted_vector_follows_relabelling_across_the_order_cut(n):
 
 
 @pytest.mark.parametrize("n, p", [(32, 0.1), (40, 0.08), (60, 0.05)])
-def test_smallest_last_order(n, p):
+def test_degeneracy_order(n, p):
     g = random_graph(n, p, n)
-    h, order, roots = _smallest_last(g)
+    h, order, roots = _degeneracy_order(g)
     assert 0 < h.n < n and len(set(order)) == len(order) == h.n
     # h is g's subgraph on the vertices kept, with order[i] renamed to i
     assert all(h.has_edge(i, j) == g.has_edge(order[i], order[j])
@@ -152,11 +152,19 @@ def test_smallest_last_order(n, p):
         }
 
 
-def test_smallest_last_order_keeps_no_vertex_of_a_forest():
+def test_degeneracy_order_of_a_label_ordered_cycle_is_the_graph():
+    g = cycle(40)
+    h, order, roots = _degeneracy_order(g)
+    assert h is g and (order, roots) == (list(range(40)), [0])
+    assert count_fast(g, 40, rooted=True).rooted == dict.fromkeys(range(40), 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_degeneracy_order_keeps_no_vertex_of_a_forest(threads):
     path = from_edge_list(40, [(v, v + 1) for v in range(39)])
-    h, order, roots = _smallest_last(path)
-    assert (h.n, order, roots) == (0, [], [])
-    assert count_fast(path, 5, rooted=True).rooted == dict.fromkeys(range(40), 0)
+    assert _degeneracy_order(path) == (None, [], [])
+    rep = count_fast(path, 5, rooted=True, threads=threads)
+    assert (rep.total, rep.rooted) == (0, dict.fromkeys(range(40), 0))
 
 
 @settings(deadline=None, max_examples=25)
@@ -305,7 +313,7 @@ def test_symmetrise_identity_fails_for_k4():
 
 
 def test_threads_agree_with_single():
-    # n = 24 counts in label order, n = 40 in smallest-last order
+    # n = 24 counts in label order, n = 40 in degeneracy order
     for n, p in ((24, 0.4), (40, 0.3)):
         g = random_graph(n, p, 5)
         a = count_fast(g, 6, rooted=True)
