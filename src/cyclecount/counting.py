@@ -25,11 +25,9 @@ one canonical pass. `count_rooted` pins the root instead; the edge and
 cherry counts start from a pinned two- or three-vertex path.
 `count_containing_pair` walks each cycle through v and w once, from the side
 on which w is nearer to v: a prefix v, ..., w of at most k // 2 edges, then
-the walk from w closes the other side. `cycles_through` runs the crediting
-loop from a pinned root, or along the same pair walk when w is given: it
-tallies, vertex by vertex, the cycles through one vertex or one pair, which
-is exactly what a change of the edges there can alter, so local search moves
-its per-vertex vector by two such walks per accepted move.
+the walk from w closes the other side. Those are exactly the cycles that a
+toggle of the pair vw can alter, so local search scores a toggle by two such
+walks.
 
 Two checks stay independent of the crediting loop: the subset oracle
 `count_oracle`, and the pinned-root total-only enumeration behind
@@ -272,7 +270,7 @@ def _count_roots(g: Graph, k: int, roots, canonical: bool, credit=None) -> int:
     return total
 
 
-def _through_pair(g: Graph, k: int, v: int, w: int, credit=None) -> int:
+def _through_pair(g: Graph, k: int, v: int, w: int) -> int:
     """Induced k-cycles through both v and w, each walked once, from the
     side on which w is nearer to v.
 
@@ -282,7 +280,7 @@ def _through_pair(g: Graph, k: int, v: int, w: int, credit=None) -> int:
     orientation: w is forced as the next vertex once it is a neighbor of the
     tip, and must come next at depth k // 2. The walk from w then closes the
     longer side. When both sides have k / 2 edges, v1 < closing vertex
-    breaks the tie. With credit, v and the prefix vertices are credited too.
+    breaks the tie.
     """
     adj = g.rows
     ncl = g._open_masks()
@@ -290,50 +288,41 @@ def _through_pair(g: Graph, k: int, v: int, w: int, credit=None) -> int:
     wbit = 1 << w
     fk = ((1 << g.n) - 1) & ncl[v]
     if nbrs & wbit:
-        total = _walk(adj, ncl, wbit, fk, nbrs, k - 3, credit)
-    elif k == 3:
+        return _walk(adj, ncl, wbit, fk, nbrs, k - 3)
+    if k == 3:
         return 0
-    else:
-        # level `depth` picks the prefix vertex depth edges from v; fk and ck
-        # exclude the closed neighborhoods of the vertices before it
-        total = 0
-        half = k // 2
-        cand, ck, depth = nbrs, nbrs, 1
-        stack = []
-        while True:
-            if cand:
-                low = cand & -cand
-                cand ^= low
-                if depth == 1:
-                    above = -(low << 1)
-                x = low.bit_length() - 1
-                nxt = adj[x] & fk
-                nu = ncl[x]
-                nck = ck & nu
-                if nxt & wbit:
-                    if 2 * depth + 2 == k:
-                        nck &= above
-                    if nck:
-                        sub = _walk(adj, ncl, wbit, fk & nu, nck, k - 3 - depth, credit)
-                        total += sub
-                        if credit is not None:
-                            credit[x] += sub
-                elif depth + 1 < half and nxt and nck:
-                    stack.append((cand, fk, ck, x, total))
-                    cand = nxt
-                    fk &= nu
-                    ck = nck
-                    depth += 1
-            elif stack:
-                cand, fk, ck, x, before = stack.pop()
-                if credit is not None:
-                    credit[x] += total - before
-                depth -= 1
-            else:
-                break
-    if credit is not None:
-        credit[v] += total
-    return total
+    # level `depth` picks the prefix vertex depth edges from v; fk and ck
+    # exclude the closed neighborhoods of the vertices before it
+    total = 0
+    half = k // 2
+    cand, ck, depth = nbrs, nbrs, 1
+    stack = []
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            if depth == 1:
+                above = -(low << 1)
+            x = low.bit_length() - 1
+            nxt = adj[x] & fk
+            nu = ncl[x]
+            nck = ck & nu
+            if nxt & wbit:
+                if 2 * depth + 2 == k:
+                    nck &= above
+                if nck:
+                    total += _walk(adj, ncl, wbit, fk & nu, nck, k - 3 - depth)
+            elif depth + 1 < half and nxt and nck:
+                stack.append((cand, fk, ck))
+                cand = nxt
+                fk &= nu
+                ck = nck
+                depth += 1
+        elif stack:
+            cand, fk, ck = stack.pop()
+            depth -= 1
+        else:
+            return total
 
 
 # Below this order the degeneracy ordering costs about what it saves.
@@ -514,29 +503,6 @@ def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
     _check_k(g, k)
     _check_vertices(g, v, w)
     return _through_pair(g, k, v, w)
-
-
-def cycles_through(g: Graph, k: int, v: int, w: int | None = None) -> list[int]:
-    """Per-vertex tallies of the induced k-cycles through v, or through both
-    v and w when w is given: entry x counts those cycles that contain x, so
-    entry v is their number.
-
-    One walk with v pinned as the root, or one pair walk from v to w,
-    credits every vertex, so a change of the edges at v, or of the pair vw,
-    moves the whole per-vertex vector by the difference of this function
-    before and after the change.
-    """
-    _check_k(g, k)
-    _check_vertices(g, v)
-    credit = [0] * g.n
-    if w is None:
-        _count_roots(g, k, [v], False, credit)
-    elif v == w:
-        raise ValueError("pair count needs two distinct vertices")
-    else:
-        _check_vertices(g, w)
-        _through_pair(g, k, v, w, credit)
-    return credit
 
 
 def symmetrise(g: Graph, v_minus: int, v_plus: int) -> Graph:

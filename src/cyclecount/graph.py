@@ -53,13 +53,16 @@ class Graph:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def _trusted(cls, n: int, rows) -> Graph:
+    def _trusted(cls, n: int, rows, open_masks=None) -> Graph:
         """A graph from rows already known to be symmetric, loopless and in
         range, built without revalidation; for graphs derived inside the
-        package from a valid one, such as toggled or symmetrised copies."""
+        package from a valid one, such as toggled or symmetrised copies.
+        open_masks, if given, must be those `_open_masks` would compute."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", tuple(rows))
+        if open_masks is not None:
+            object.__setattr__(g, "_open", tuple(open_masks))
         return g
 
     def __setattr__(self, name, value):

@@ -10,13 +10,15 @@ of Pippenger and Golumbic, 1975): a graph with count >= t has a vertex
 whose deletion leaves count >= ceil(t (m - k) / m). Starting from a lower
 bound L on the maximum, the count of a concrete graph, these thresholds
 descend to 1 at m = k, where the only class is C_k. local_search_max
-hill-climbs with exact integer objectives from the constructed graph that
-gives exhaustive search its bound L, so its best value is a certified
-lower bound on the true maximum and never below L.
+anneals by edge toggles, scored with exact integer pair counts, from the
+constructed graph that gives exhaustive search its bound L; it keeps the
+best graph seen, so its best value is a certified lower bound on the true
+maximum and never below L.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,21 +29,22 @@ from .constructions import (
     complete_graph,
     cycle,
     nested_blow_up,
-    random_graph,
 )
 from .counting import (
     _through_root,
     count_containing_pair,
     count_fast,
     count_oracle,
-    cycles_through,
-    symmetrise,
 )
 from .graph import Graph
 
 # most vertex extensions one exhaustive search may score, over all levels
 _WORK_LIMIT = 1 << 22
 _WITNESS_LIMIT = 10
+# local search's annealing temperature falls geometrically from _T_START to
+# _T_END over its budget
+_T_START = 1.0
+_T_END = 0.3
 
 
 @dataclass
@@ -54,6 +57,8 @@ class SearchResult:
     move budget. Exhaustive search also reports its lower bound L, the
     graph L was counted on, and per level m = k..n the threshold t_m, the
     classes kept (count >= t_m) and the extensions scored to find them.
+    Local search also reports the count of its start graph, the moves it
+    accepted, and whether its best count beat the start's.
     """
 
     n: int
@@ -68,6 +73,8 @@ class SearchResult:
     lower_bound: int | None = None
     lower_bound_from: str | None = None
     levels: list[dict] | None = None
+    start_count: int | None = None
+    accepted: int | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -85,6 +92,10 @@ class SearchResult:
             out["lower_bound"] = self.lower_bound
             out["lower_bound_from"] = self.lower_bound_from
             out["levels"] = [dict(level) for level in self.levels]
+        else:
+            out["start_count"] = self.start_count
+            out["accepted"] = self.accepted
+            out["improved"] = self.best_count > self.start_count
         return out
 
 
@@ -298,36 +309,33 @@ def exhaustive_max(n: int, k: int) -> SearchResult:
 
 
 def _toggle_edge(g: Graph, u: int, w: int) -> Graph:
+    """g with the pair uw toggled. Its open masks are g's with bit w of
+    u's and bit u of w's flipped, so none is rebuilt."""
     rows = list(g.rows)
     rows[u] ^= 1 << w
     rows[w] ^= 1 << u
-    return Graph._trusted(g.n, rows)
+    masks = list(g._open_masks())
+    masks[u] ^= 1 << w
+    masks[w] ^= 1 << u
+    return Graph._trusted(g.n, rows, masks)
 
 
 def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> SearchResult:
-    """Hill-climbing lower bound for the maximum induced k-cycle count.
+    """Simulated annealing on edge toggles: a lower bound for the maximum
+    induced k-cycle count.
 
     The walk starts from the constructed graph of `_start`: the balanced
-    C_4 blow-up for k = 4, else the nested balanced C_k blow-up, so the
-    best count reported is never below that graph's count.
-
-    Moves: toggle a random vertex pair, or (k >= 5) replace the vertex of
-    smallest rooted count by a non-adjacent twin of the vertex of largest
-    rooted count. A toggle of uw changes only the cycles through both u and
-    w, so it is scored by the pair count in the current graph and in the
-    candidate. Replacing u by a twin of w changes only the cycles through
-    u, and no k >= 5 cycle holds two twins, so the candidate's count is the
-    current one less the kept count of u, plus that of w, less the pair
-    count of u and w. For k >= 5 an accepted move runs one crediting walk
-    through the pair or through u in each graph, and adds the difference of
-    their vectors to the kept per-vertex counts; that difference at u must
-    equal the move's score, else RuntimeError. Full passes run only at the
-    start, after each restart and once at the end, where the kept counts
-    must equal a recount. k = 4 has no twin moves and keeps no vector.
-    Strictly improving moves are always accepted,
-    equal-value moves with probability 1/2; after budget//10 consecutive
-    non-improving steps the walk restarts. The final witness is recounted
-    independently.
+    C_4 blow-up for k = 4, else the nested balanced C_k blow-up. Each of the
+    budget steps proposes the toggle of a random vertex pair uw. A toggle of
+    uw changes only the cycles through both u and w, so its gain is the pair
+    count in the candidate less that in the current graph. A move that
+    loses nothing is accepted; one that loses d cycles is accepted with
+    probability e^(-d/T), where T falls geometrically from _T_START to
+    _T_END over the budget. The best graph seen is kept, so the best count
+    is never below the start's. One full count runs at the start; the best
+    graph is recounted at the end, by the subset oracle for n <= 12 and by
+    count_fast above that, and a recount that disagrees with the kept count
+    raises RuntimeError.
     """
     if not 4 <= k <= n:
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
@@ -337,64 +345,26 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
 
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-    def full_count(g: Graph) -> tuple[int, list[int] | None]:
-        if k == 4:
-            return count_fast(g, k).total, None
-        rep = count_fast(g, k, rooted=True)
-        return rep.total, list(rep.rooted.values())
-
     current = _start(n, k)[0]
-    cur_count, rooted = full_count(current)
+    start_count = cur_count = count_fast(current, k).total
     best, best_count = current, cur_count
-    stale = 0
-    restart_after = max(1, budget // 10)
+    accepted = 0
+    temperature = _T_START
+    cooling = (_T_END / _T_START) ** (1 / budget)
     for _ in range(budget):
-        use_twin_move = k >= 5 and rng.random() < 0.1
-        if use_twin_move:
-            u = rooted.index(min(rooted))
-            w = rooted.index(max(rooted))
-            if u == w:
-                continue
-            candidate = symmetrise(current, u, w)
-            # the cycles through the new twin u are those through w that
-            # avoided the old u, since no k >= 5 cycle holds two twins
-            new_count = (cur_count - rooted[u] + rooted[w]
-                         - count_containing_pair(current, k, u, w))
-        else:
-            u = int(rng.integers(n))
-            w = int(rng.integers(n - 1))
-            if w >= u:
-                w += 1
-            candidate = _toggle_edge(current, u, w)
-            new_count = (cur_count - count_containing_pair(current, k, u, w)
-                         + count_containing_pair(candidate, k, u, w))
-        accept = new_count > cur_count or (
-            new_count == cur_count and rng.random() < 0.5
-        )
-        if accept:
-            if rooted is not None:
-                pair = None if use_twin_move else w
-                before = cycles_through(current, k, u, pair)
-                after = cycles_through(candidate, k, u, pair)
-                if after[u] - before[u] != new_count - cur_count:
-                    raise RuntimeError(
-                        f"kept per-vertex counts drifted: the move at {u} scored "
-                        f"{new_count - cur_count}, its walks give {after[u] - before[u]}"
-                    )
-                rooted = [r - b + a for r, b, a in zip(rooted, before, after)]
-            current, cur_count = candidate, new_count
-        if cur_count > best_count:
-            best, best_count = current, cur_count
-            stale = 0
-        else:
-            stale += 1
-            if stale >= restart_after:
-                current = random_graph(n, 0.5, int(rng.integers(1 << 62)))
-                cur_count, rooted = full_count(current)
-                stale = 0
-    if rooted is not None and full_count(current) != (cur_count, rooted):
-        raise RuntimeError("incremental per-vertex counts drifted from a full recount")
+        u = int(rng.integers(n))
+        w = int(rng.integers(n - 1))
+        if w >= u:
+            w += 1
+        candidate = _toggle_edge(current, u, w)
+        gain = (count_containing_pair(candidate, k, u, w)
+                - count_containing_pair(current, k, u, w))
+        if gain >= 0 or rng.random() < math.exp(gain / temperature):
+            current, cur_count = candidate, cur_count + gain
+            accepted += 1
+            if cur_count > best_count:
+                best, best_count = current, cur_count
+        temperature *= cooling
     recount = (
         count_oracle(best, k).total if n <= 12 else count_fast(best, k).total
     )
@@ -406,5 +376,5 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         n=n, k=k, best_count=best_count, witnesses=[io.to_graph6(best)],
         exhaustive=False, explored=budget, seed=seed, budget=budget,
         runtime_ms=(time.perf_counter() - t0) * 1000,
+        start_count=start_count, accepted=accepted,
     )
-

@@ -443,8 +443,10 @@ def test_cli_import_does_not_load_numpy():
 
 # Reports of eleven commands recorded from the CLI before the run manifest
 # became a plain dict and `--roots all` took its vector from the selected
-# mode's own counter; `verify --suite analytic` recorded when each slack
-# product became one proof over its whole parameter range; and
+# mode's own counter, of which `search --mode local` was recorded again
+# when it began to report its start count, its accepted moves and whether
+# it improved on the start; `verify --suite analytic` recorded when each
+# slack product became one proof over its whole parameter range; and
 # `verify --suite bounds` and `verify --suite headline` recorded
 # before the bounds suite took its instances from `_lemma_instances`, whose
 # `evaluated` and `case_counts` catch an instance skipped on the corpus.

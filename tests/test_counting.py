@@ -30,7 +30,6 @@ from cyclecount.counting import (
     count_fast,
     count_oracle,
     count_rooted,
-    cycles_through,
     is_induced_cycle,
     symmetrise,
 )
@@ -364,13 +363,11 @@ def test_fast_counters_equal_oracle_at_k3(n, p, seed):
     assert got.total == want.total and got.rooted == want.rooted
     for v in range(n):
         assert count_rooted(g, 3, v) == want.rooted[v]
-        assert cycles_through(g, 3, v) == _oracle_tallies(g, 3, {v})
     for v, w in itertools.combinations(range(n), 2):
-        tally = _oracle_tallies(g, 3, {v, w})
-        assert cycles_through(g, 3, v, w) == tally
-        assert count_containing_pair(g, 3, v, w) == tally[v]
+        through = _oracle_through(g, 3, {v, w})
+        assert count_containing_pair(g, 3, v, w) == through
         if g.has_edge(v, w):
-            assert count_edge_rooted(g, 3, v, w) == tally[v]
+            assert count_edge_rooted(g, 3, v, w) == through
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
@@ -391,23 +388,10 @@ def test_pair_count_equals_oracle_pairs():
             assert count_containing_pair(g, k, w, v) == want.get((v, w), 0)
 
 
-def _oracle_tallies(g, k, must):
-    # per-vertex tallies over the subset oracle's cycles that contain `must`
-    tally = [0] * g.n
-    for combo in itertools.combinations(range(g.n), k):
-        if must <= set(combo) and is_induced_cycle(g, combo):
-            for x in combo:
-                tally[x] += 1
-    return tally
-
-
-def test_cycles_through_equals_oracle_tallies():
-    g = random_graph(11, 0.45, 17)
-    for k in (4, 5, 6):
-        for v in range(g.n):
-            assert cycles_through(g, k, v) == _oracle_tallies(g, k, {v}), (k, v)
-        for v, w in itertools.permutations(range(g.n), 2):
-            assert cycles_through(g, k, v, w) == _oracle_tallies(g, k, {v, w}), (k, v, w)
+def _oracle_through(g, k, must):
+    # the subset oracle's cycles that contain `must`
+    return sum(1 for combo in itertools.combinations(range(g.n), k)
+               if must <= set(combo) and is_induced_cycle(g, combo))
 
 
 @st.composite
@@ -435,9 +419,8 @@ def test_pair_counts_equal_oracle_on_random_graphs(gk):
     cycles = [set(c) for c in itertools.combinations(range(g.n), k)
               if is_induced_cycle(g, c)]
     for v, w in itertools.permutations(range(g.n), 2):
-        tally = [sum(1 for c in cycles if {v, w, x} <= c) for x in range(g.n)]
-        assert count_containing_pair(g, k, v, w) == tally[v], (k, v, w)
-        assert cycles_through(g, k, v, w) == tally, (k, v, w)
+        through = sum(1 for c in cycles if {v, w} <= c)
+        assert count_containing_pair(g, k, v, w) == through, (k, v, w)
 
 
 def _planted(n, k, seed):
@@ -452,10 +435,10 @@ def _planted(n, k, seed):
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_pair_walk_equals_oracle_on_every_ordered_pair(k):
-    # the cycles through v, w and x are, by inclusion-exclusion, the oracle's
-    # per-vertex count of x in g less those in g with v, with w, and plus
-    # those with both isolated; C_k puts w opposite v for even k (the tie),
-    # and the blow-ups and the planted cycle add non-adjacent pairs at k = 3
+    # the cycles through v and w are the oracle's per-vertex count of v in g
+    # less that in g with w isolated; C_k puts w opposite v for even k (the
+    # tie), and the blow-ups and the planted cycle add non-adjacent pairs at
+    # k = 3
     for g in (cycle(k), blow_up(cycle(k), balanced_part_sizes(min(k + 4, 12), k)),
               _planted(k + 3, k, k)):
         rooted = {}
@@ -468,11 +451,8 @@ def test_pair_walk_equals_oracle_on_every_ordered_pair(k):
             return rooted[drop]
 
         for v, w in itertools.permutations(range(g.n), 2):
-            both = tuple(sorted((v, w)))
-            tally = [oracle()[x] - oracle(v)[x] - oracle(w)[x] + oracle(*both)[x]
-                     for x in range(g.n)]
-            assert count_containing_pair(g, k, v, w) == tally[v], (k, v, w)
-            assert cycles_through(g, k, v, w) == tally, (k, v, w)
+            through = oracle()[v] - oracle(w)[v]
+            assert count_containing_pair(g, k, v, w) == through, (k, v, w)
 
 
 def test_pair_walk_breaks_the_tie_once():
@@ -481,46 +461,11 @@ def test_pair_walk_breaks_the_tie_once():
     # each of the other four parts; walking both sides would give 32
     g = blow_up(cycle(6), [2] * 6)
     assert count_containing_pair(g, 6, 0, 6) == 16
-    assert cycles_through(g, 6, 0, 6) == [16, 0] + [8] * 4 + [16, 0] + [8] * 4
     # adjacent pairs share 2^4 cycles, and no triangle holds two vertices
     # of one part of K_{2,2,2}
     assert count_containing_pair(g, 6, 0, 2) == 16
     k222 = blow_up(cycle(3), [2] * 3)
     assert count_containing_pair(k222, 3, 0, 1) == 0
-    assert cycles_through(k222, 3, 0, 1) == [0] * 6
-
-
-@settings(deadline=None, max_examples=25)
-@given(
-    st.integers(min_value=8, max_value=12),
-    st.sampled_from([0.3, 0.45, 0.6]),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=5, max_value=7),
-    st.data(),
-)
-def test_vector_kept_by_deltas_equals_oracle(n, p, seed, k, data):
-    # a toggle of uw changes only the cycles through both u and w, a
-    # symmetrisation only those through v_minus; the kept vector is held
-    # against the subset oracle after every move
-    g = random_graph(n, p, seed)
-    kept = count_oracle(g, k, rooted=True).rooted
-    vertex = st.integers(min_value=0, max_value=n - 1)
-    for _ in range(6):
-        a = data.draw(vertex)
-        b = data.draw(vertex.filter(lambda x: x != a))
-        if data.draw(st.booleans()):
-            rows = list(g.rows)
-            rows[a] ^= 1 << b
-            rows[b] ^= 1 << a
-            h = Graph(n, rows)
-            delta = zip(cycles_through(g, k, a, b), cycles_through(h, k, a, b))
-        else:
-            h = symmetrise(g, a, b)
-            delta = zip(cycles_through(g, k, a), cycles_through(h, k, a))
-        for x, (before, after) in enumerate(delta):
-            kept[x] += after - before
-        g = h
-        assert kept == count_oracle(g, k, rooted=True).rooted
 
 
 def test_long_cycle_counts_without_recursion():
@@ -569,10 +514,6 @@ def test_argument_validation():
         count_cherry_rooted(g, 3, 0, 1, 2)  # no triangle holds a cherry
     with pytest.raises(ValueError):
         symmetrise(g, 1, 1)
-    with pytest.raises(ValueError):
-        cycles_through(g, 2, 0)
-    with pytest.raises(ValueError):
-        cycles_through(g, 6, 2, 2)
 
 
 @pytest.mark.parametrize("v,w", [(0, -1), (-1, 0), (0, 6), (9, 0)])
@@ -584,7 +525,6 @@ def test_vertices_outside_the_graph_are_refused(v, w):
     for call in (
         lambda: symmetrise(g, v, w),
         lambda: count_containing_pair(g, 5, v, w),
-        lambda: cycles_through(g, 5, v, w),
         lambda: count_edge_rooted(g, 5, v, w),
         lambda: count_cherry_rooted(g, 5, v, w, 1),
     ):

@@ -2,7 +2,9 @@
 
 import functools
 import hashlib
+import itertools
 import os
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,7 +18,7 @@ from cyclecount.constructions import random_graph
 from cyclecount.counting import count_oracle, symmetrise
 from cyclecount.graph import Graph, from_edge_list
 from cyclecount.io import from_graph6
-from cyclecount.search import _toggle_edge, exhaustive_max, local_search_max
+from cyclecount.search import _canonical, _toggle_edge, exhaustive_max, local_search_max
 
 from blowup_recurrence import recurrence
 from graph_classes import all_classes
@@ -27,7 +29,8 @@ SLOW = os.environ.get("CYCLECOUNT_RUN_SLOW") == "1"
 # values were cross-checked against the labeled 2^28 sweep, (9, 5) against
 # the sweep of all 12,346 eight-vertex classes, and the other n >= 9 values
 # froze after lowering the search's bound to L - 1 and to L // 2 left them
-# as they were (test_lowered_bound_changes_nothing and its gated variant)
+# as they were (test_lowered_bound_changes_nothing and its gated variant);
+# (10, 7), (11, 7) and (12, 8) are the maxima the nested blow-up misses
 FROZEN_MAX = {
     (4, 4): 1,
     (5, 4): 3,
@@ -50,12 +53,18 @@ FROZEN_MAX = {
     (11, 6): 32,
     (12, 6): 64,
     (7, 7): 1,
+    (10, 7): 10,
+    (11, 7): 17,
     (12, 7): 32,
     (11, 8): 8,
+    (12, 8): 18,
 }
+# maxima whose exhaustive search takes over about 5 s
+SLOW_MAX = {(12, 8)}
 
-# (n, k, budget, seed) -> (best_count, witness), frozen from the local search
-# that recounted all n rooted counts for every twin move
+# (n, k, budget, seed) -> (best_count, witness), frozen from the hill climb
+# with twin moves; the toggle annealing with T from 1.0 down to 0.3 ends at
+# the same graphs, each its start
 FROZEN_LOCAL = {
     (8, 5, 120, 9): (8, "G]Ko]C"),
     (7, 5, 200, 0): (4, "F]KMG"),
@@ -65,27 +74,27 @@ FROZEN_LOCAL = {
 }
 
 # (n, k, budget, seed) -> (best_count, witness, move digest), frozen from the
-# local search that scored every move by two credited pair or vertex walks;
-# the digest (see _move_digest) covers every proposed move and the graph it
-# was proposed on, so it pins the whole trajectory, not only the best graph;
-# (30, 5) starts from the nested blow-up, whose parts of 6 are C_5 blow-ups
+# toggle annealing with T from 1.0 down to 0.3; the digest (see
+# _move_digest) covers every proposed toggle and the graph it was proposed
+# on, so it pins the whole trajectory, not only the best graph; (30, 5)
+# starts from the nested blow-up, whose parts of 6 are C_5 blow-ups
 FROZEN_MOVES = {
     (30, 5, 2000, 1): (
         7786,
         "]XFN~z~~Nw~x?~?~?^wFx?~CB~G?Fw?Fw?B~??~G?Fw_?^x~??~~??~^_?^~w?Fx~??~F{?B~G",
-        "1619eecdbe080a92",
+        "284b9a660bb5101d",
     ),
     (28, 6, 1500, 1): (
         10000,
         "[?B~vrw}?N_}@{@{?}??^?Bw?N_?^??^???^??Fo??}??Bw}??N}??N^??Ffo?@w",
-        "9d8f1284b4e29ce6",
+        "6d17b511d9b016e8",
     ),
     (30, 4, 2000, 1): (
         11025,
         "]????B~~v}^w~o~o^wF}??N{?~o@~_@~_?~o?N{?@~_^w@~~oB}~oB}^w@~F}?^o~oB}B~?Nw?",
-        "78bf1d65dea9b0e2",
+        "a333ca3c6e37f389",
     ),
-    (21, 7, 1000, 1): (2187, "TFz_ww[?wF?[?F?F?B_?F??w?Bf??~??z_?[", "0ff713250dc01629"),
+    (21, 7, 1000, 1): (2187, "TFz_ww[?wF?[?F?F?B_?F??w?Bf??~??z_?[", "a042c527009d6cf2"),
 }
 
 # graphs on n unlabeled vertices, OEIS A000088
@@ -109,7 +118,12 @@ def _assert_levels_add_up(r):
     assert r.explored == sum(level["scored"] for level in r.levels)
 
 
-@pytest.mark.parametrize("n,k", sorted(FROZEN_MAX))
+@pytest.mark.parametrize("n,k", [
+    pytest.param(*nk, marks=pytest.mark.skipif(
+        not SLOW, reason="over 5 s; set CYCLECOUNT_RUN_SLOW=1"))
+    if nk in SLOW_MAX else nk
+    for nk in sorted(FROZEN_MAX)
+])
 def test_exhaustive_frozen_values(n, k):
     r = exhaustive_max(n, k)
     assert r.best_count == FROZEN_MAX[(n, k)]
@@ -184,6 +198,49 @@ def test_exhaustive_matches_graph_atlas():
     # K_n alone has C(n, 3) triangles; C_n alone is an induced n-cycle
     assert exhaustive_max(7, 3).best_count == comb(7, 3)
     assert exhaustive_max(7, 7).best_count == 1
+
+
+def _regular_graphs():
+    # Paley(13) (the residues mod 13 are +-1, +-3, +-4), Petersen, two
+    # circulants on 12 vertices, the 4-cube, the complement of K_{4,4}, and
+    # 24 random regular graphs of degree 3-6 on 12-14 vertices
+    named = [
+        nx.circulant_graph(13, [1, 3, 4]),
+        nx.petersen_graph(),
+        nx.circulant_graph(12, [1, 5]),
+        nx.circulant_graph(12, [2, 3]),
+        nx.convert_node_labels_to_integers(nx.hypercube_graph(4)),
+        nx.complement(nx.complete_bipartite_graph(4, 4)),
+    ]
+    sizes = [(d, n) for n in (12, 13, 14) for d in range(3, 7) if n * d % 2 == 0]
+    return named + [nx.random_regular_graph(*sizes[i % len(sizes)], seed=i)
+                    for i in range(24)]
+
+
+def test_canonical_form_agrees_with_networkx_on_regular_graphs():
+    # regular graphs give the refinement nothing to split at the root, the
+    # hard case for a refinement labeller; networkx shares no code with it.
+    # Each graph under 6 random relabellings gets one form, the form is the
+    # rows of an isomorphic graph, and two graphs share a form exactly when
+    # networkx finds them isomorphic
+    rng = random.Random(0)
+    graphs = _regular_graphs()
+    forms = []
+    for h in graphs:
+        n = h.number_of_nodes()
+        seen = set()
+        for _ in range(6):
+            perm = rng.sample(range(n), n)
+            g = from_edge_list(n, [(perm[u], perm[w]) for u, w in h.edges()])
+            seen.add(_canonical(g.rows))
+        assert len(seen) == 1, nx.to_graph6_bytes(h)
+        form = seen.pop()
+        image = nx.empty_graph(n)
+        image.add_edges_from(Graph(n, form).edges())
+        assert nx.is_isomorphic(image, h)
+        forms.append(form)
+    for i, j in itertools.combinations(range(len(graphs)), 2):
+        assert (forms[i] == forms[j]) == nx.is_isomorphic(graphs[i], graphs[j]), (i, j)
 
 
 def test_exhaustive_witnesses_attain_best():
@@ -295,9 +352,14 @@ def test_local_search_never_reports_less_than_the_recurrence(n, flat):
 
 
 def test_recurrence_attains_every_frozen_maximum():
+    # the nested blow-up is a lower bound everywhere, and attains every
+    # frozen k >= 5 maximum but three: the pentagonal prism (10), two
+    # 11-vertex graphs (17) and the hexagonal prism (18) beat it
+    beaten = {(10, 7): 8, (11, 7): 16, (12, 8): 16}
     for (n, k), best in FROZEN_MAX.items():
         if k >= 5:
-            assert recurrence(n, k) == best, (n, k)
+            assert recurrence(n, k) == beaten.get((n, k), best) <= best, (n, k)
+    assert all(FROZEN_MAX[nk] > below for nk, below in beaten.items())
 
 
 def test_local_search_is_deterministic_per_seed():
@@ -314,18 +376,15 @@ def test_local_search_frozen_results(args):
 
 
 def _move_digest(monkeypatch):
-    # hashes each toggle or symmetrisation with the rows it is proposed on
+    # hashes each toggle with the rows it is proposed on
     digest = hashlib.sha256()
+    real = search._toggle_edge
 
-    def logged(tag, real):
-        def move(g, a, b):
-            digest.update(f"{tag}{a},{b}:{g.rows}".encode())
-            return real(g, a, b)
+    def logged(g, u, w):
+        digest.update(f"t{u},{w}:{g.rows}".encode())
+        return real(g, u, w)
 
-        return move
-
-    monkeypatch.setattr(search, "_toggle_edge", logged("t", search._toggle_edge))
-    monkeypatch.setattr(search, "symmetrise", logged("s", search.symmetrise))
+    monkeypatch.setattr(search, "_toggle_edge", logged)
     return digest
 
 
@@ -338,43 +397,53 @@ def test_local_search_frozen_moves(monkeypatch, args):
 
 
 def test_local_search_full_passes(monkeypatch):
-    # one full pass per start and per restart, the drift check and, for
-    # n > 12, the final recount of the witness; twin moves run none
-    calls = {"count_fast": 0, "random_graph": 0, "symmetrise": 0}
+    # one full count at the start and the final recount of the best graph,
+    # by the subset oracle for n <= 12 and by count_fast above that; the
+    # toggles are scored by pair counts alone
+    for args, fast, oracle in (((16, 7, 800, 5), 2, 0), ((8, 5, 120, 9), 1, 1)):
+        calls = {"count_fast": 0, "count_oracle": 0}
+        for name in calls:
+            def counted(*a, name=name, real=getattr(search, name)):
+                calls[name] += 1
+                return real(*a)
 
-    def counted(name):
-        real = getattr(search, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(search, name, wrapper)
-
-    for name in calls:
-        counted(name)
-    local_search_max(16, 7, budget=800, seed=5)
-    assert calls["symmetrise"] > 0
-    assert calls["count_fast"] == 1 + calls["random_graph"] + 2
+            monkeypatch.setattr(search, name, counted)
+        local_search_max(*args)
+        monkeypatch.undo()
+        assert calls == {"count_fast": fast, "count_oracle": oracle}, args
 
 
-def test_local_search_raises_when_kept_counts_drift(monkeypatch):
-    # every second walk is the candidate's; skewing only those walks at a
-    # vertex off the pinned one leaves the scores alone but drifts the kept
-    # vector by one on each accepted move
-    real = search.cycles_through
-    walks = []
+def test_local_search_raises_when_pair_counts_drift(monkeypatch):
+    # a pair count one too high on each candidate scores every toggle one
+    # too high, so the kept count drifts from the graph's; the final
+    # recount, by either counter, must refuse the result
+    real_toggle, real_pair = search._toggle_edge, search.count_containing_pair
+    made = [None]
 
-    def skewed(g, k, v, w=None):
-        vec = real(g, k, v, w)
-        walks.append(v)
-        if len(walks) % 2 == 0:
-            vec[next(x for x in range(g.n) if x not in (v, w))] += 1
-        return vec
+    def toggle(g, u, w):
+        made[0] = real_toggle(g, u, w)
+        return made[0]
 
-    monkeypatch.setattr(search, "cycles_through", skewed)
-    with pytest.raises(RuntimeError, match="drifted"):
-        local_search_max(8, 5, budget=120, seed=9)
+    def skewed(g, k, u, w):
+        return real_pair(g, k, u, w) + (g is made[0])
+
+    monkeypatch.setattr(search, "_toggle_edge", toggle)
+    monkeypatch.setattr(search, "count_containing_pair", skewed)
+    for args in ((8, 5, 120, 9), (16, 7, 200, 5)):
+        with pytest.raises(RuntimeError, match="drifted"):
+            local_search_max(*args)
+
+
+def test_local_search_reaches_maxima_the_start_misses():
+    # the nested blow-up misses these two frozen maxima; seeds 0-4 were fixed
+    # before the annealing ran on them, and the first seed that reaches a
+    # maximum ends its loop
+    for n, k in ((10, 7), (11, 7)):
+        runs = (local_search_max(n, k, budget=20_000, seed=seed) for seed in range(5))
+        hit = next((r for r in runs if r.best_count == FROZEN_MAX[(n, k)]), None)
+        assert hit is not None, (n, k)
+        assert hit.start_count == recurrence(n, k) < hit.best_count
+        assert hit.to_json_dict()["improved"] is True
 
 
 @settings(deadline=None, max_examples=30)
@@ -393,6 +462,25 @@ def test_derived_graphs_pass_validation(n, p, seed, data):
     for h in (_toggle_edge(g, u, w), symmetrise(g, u, w)):
         assert h == Graph(n, h.rows)
         assert isinstance(h.rows, tuple)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=2, max_value=14),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 13), st.integers(1, 13)), max_size=12),
+)
+def test_toggles_carry_the_open_masks(n, p, seed, moves):
+    # each toggle flips two bits of its graph's open masks instead of
+    # rebuilding them; along a chain of toggles they must stay those that a
+    # freshly built graph computes
+    g = random_graph(n, p, seed)
+    for a, b in moves:
+        u, w = a % n, (a + b) % n
+        if u != w:
+            g = _toggle_edge(g, u, w)
+            assert g._open_masks() == Graph(n, g.rows)._open_masks()
 
 
 def test_local_search_validates_args():
