@@ -27,7 +27,9 @@ cherry counts start from a pinned two- or three-vertex path.
 on which w is nearer to v: a prefix v, ..., w of at most k // 2 edges, then
 the walk from w closes the other side. Those are exactly the cycles that a
 toggle of the pair vw can alter, so local search scores a toggle by two such
-walks.
+walks, both on the current graph's rows: the walks read v only through the
+neighbour set passed in for it, and w's row and mask only away from bit v, so
+passing v's neighbours with bit w flipped walks the toggled graph.
 
 Two checks stay independent of the crediting loop: the subset oracle
 `count_oracle`, and the pinned-root total-only enumeration behind
@@ -270,23 +272,28 @@ def _count_roots(g: Graph, k: int, roots, canonical: bool, credit=None) -> int:
     return total
 
 
-def _through_pair(g: Graph, k: int, v: int, w: int) -> int:
+def _through_pair(adj, ncl, full, nbrs, v: int, w: int, k: int) -> int:
     """Induced k-cycles through both v and w, each walked once, from the
-    side on which w is nearer to v.
+    side on which w is nearer to v, where v's neighbours are nbrs and
+    every other row and open mask is that of adj and ncl; full is the
+    vertex set.
 
-    If w is a neighbor of v it is the second vertex and every other neighbor
-    of v may close; this case is all of count_edge_rooted. Otherwise the
-    prefix v, v1, ..., w of at most k // 2 edges is enumerated in either
+    If w is in nbrs it is the second vertex and every other neighbor of v
+    may close; this case is all of count_edge_rooted. Otherwise the prefix
+    v, v1, ..., w of at most k // 2 edges is enumerated in either
     orientation: w is forced as the next vertex once it is a neighbor of the
     tip, and must come next at depth k // 2. The walk from w then closes the
     longer side. When both sides have k / 2 edges, v1 < closing vertex
     breaks the tie.
+
+    The walks read v only through nbrs and the free mask, which is v's open
+    mask with w's bit set whichever way the pair stands, and they read w's
+    row and mask only away from bit v. So with nbrs = adj[v] ^ (1 << w) they
+    count the cycles through v and w in the graph with the pair vw toggled,
+    on the rows of the graph before the toggle.
     """
-    adj = g.rows
-    ncl = g._open_masks()
-    nbrs = adj[v]
     wbit = 1 << w
-    fk = ((1 << g.n) - 1) & ncl[v]
+    fk = (full & ncl[v]) | wbit
     if nbrs & wbit:
         return _walk(adj, ncl, wbit, fk, nbrs, k - 3)
     if k == 3:
@@ -471,7 +478,7 @@ def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
     _check_vertices(g, v, w)
     if not g.has_edge(v, w):
         raise ValueError(f"({v}, {w}) is not an edge")
-    return _through_pair(g, k, v, w)
+    return _through_pair(g.rows, g._open_masks(), (1 << g.n) - 1, g.rows[v], v, w, k)
 
 
 def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
@@ -502,7 +509,7 @@ def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
         raise ValueError("pair count needs two distinct vertices")
     _check_k(g, k)
     _check_vertices(g, v, w)
-    return _through_pair(g, k, v, w)
+    return _through_pair(g.rows, g._open_masks(), (1 << g.n) - 1, g.rows[v], v, w, k)
 
 
 def symmetrise(g: Graph, v_minus: int, v_plus: int) -> Graph:

@@ -30,12 +30,7 @@ from .constructions import (
     cycle,
     nested_blow_up,
 )
-from .counting import (
-    _through_root,
-    count_containing_pair,
-    count_fast,
-    count_oracle,
-)
+from .counting import _through_pair, _through_root, count_fast, count_oracle
 from .graph import Graph
 
 # most vertex extensions one exhaustive search may score, over all levels
@@ -58,7 +53,9 @@ class SearchResult:
     graph L was counted on, and per level m = k..n the threshold t_m, the
     classes kept (count >= t_m) and the extensions scored to find them.
     Local search also reports the count of its start graph, the moves it
-    accepted, and whether its best count beat the start's.
+    accepted, the proposals it scored by pair walks rather than by a gain
+    kept from an earlier proposal of the same pair, and whether its best
+    count beat the start's.
     """
 
     n: int
@@ -75,6 +72,7 @@ class SearchResult:
     levels: list[dict] | None = None
     start_count: int | None = None
     accepted: int | None = None
+    scored: int | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -95,6 +93,7 @@ class SearchResult:
         else:
             out["start_count"] = self.start_count
             out["accepted"] = self.accepted
+            out["scored"] = self.scored
             out["improved"] = self.best_count > self.start_count
         return out
 
@@ -320,6 +319,61 @@ def _toggle_edge(g: Graph, u: int, w: int) -> Graph:
     return Graph._trusted(g.n, rows, masks)
 
 
+class _Draws:
+    """The draws `Generator(PCG64(SeedSequence(seed)))` makes for scalar
+    `integers(n)`, 2 <= n <= 2^32, and `random()`, computed from scalar
+    `PCG64.random_raw()` words without numpy's per-call overhead.
+
+    integers maps a 32-bit draw x to (x * n) >> 32 and rejects it when the
+    low 32 bits of x * n fall below 2^32 mod n, which removes the bias
+    (Lemire, ACM TOMACS 29, 2019); like numpy, it takes the low half of each
+    64-bit word first and keeps the high half for the next 32-bit draw.
+    random takes the top 53 bits of a whole word and leaves a kept half
+    where it is. A negative seed is refused by SeedSequence.
+    """
+
+    __slots__ = ("_raw", "_half")
+
+    def __init__(self, seed: int) -> None:
+        import numpy as np  # kept off the import path
+
+        self._raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw
+        self._half = None
+
+    def integers(self, n: int) -> int:
+        while True:
+            x = self._half
+            if x is None:
+                x = self._raw()
+                self._half = x >> 32
+                x &= 0xFFFFFFFF
+            else:
+                self._half = None
+            m = x * n
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (1 << 32) % n:
+                return m >> 32
+
+    def random(self) -> float:
+        return (self._raw() >> 11) * 2.0**-53
+
+
+def _toggle_gain(g: Graph, k: int, u: int, w: int, memo: dict[int, int]) -> int:
+    """The induced k-cycles a toggle of the pair uw adds to g, less those it
+    removes: the cycles through u and w after the toggle less those
+    before, two pair walks on g's own rows. memo maps each pair already
+    scored on g, as the bitset of its two vertices, to its gain, and is
+    cleared by the caller whenever g changes."""
+    key = (1 << u) | (1 << w)
+    gain = memo.get(key)
+    if gain is None:
+        adj, ncl, full = g.rows, g._open_masks(), (1 << g.n) - 1
+        gain = (_through_pair(adj, ncl, full, adj[u] ^ (1 << w), u, w, k)
+                - _through_pair(adj, ncl, full, adj[u], u, w, k))
+        memo[key] = gain
+    return gain
+
+
 def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> SearchResult:
     """Simulated annealing on edge toggles: a lower bound for the maximum
     induced k-cycle count.
@@ -327,44 +381,48 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
     The walk starts from the constructed graph of `_start`: the balanced
     C_4 blow-up for k = 4, else the nested balanced C_k blow-up. Each of the
     budget steps proposes the toggle of a random vertex pair uw. A toggle of
-    uw changes only the cycles through both u and w, so its gain is the pair
-    count in the candidate less that in the current graph. A move that
+    uw changes only the cycles through both u and w, so its gain is two
+    total-only pair counts walked on the current graph's rows
+    (`_toggle_gain`); no candidate graph is built unless the move is
+    accepted. Gains are kept per pair until a move is accepted, so a pair
+    proposed again on an unchanged graph is not walked again. A move that
     loses nothing is accepted; one that loses d cycles is accepted with
     probability e^(-d/T), where T falls geometrically from _T_START to
-    _T_END over the budget. The best graph seen is kept, so the best count
-    is never below the start's. One full count runs at the start; the best
-    graph is recounted at the end, by the subset oracle for n <= 12 and by
-    count_fast above that, and a recount that disagrees with the kept count
-    raises RuntimeError.
+    _T_END over the budget. The pairs and acceptance draws come from
+    `_Draws(seed)`, the stream of numpy's PCG64 generator. The best graph
+    seen is kept, so the best count is never below the start's. One full
+    count runs at the start; the best graph is recounted at the end, by the
+    subset oracle for n <= 12 and by count_fast above that, and a recount
+    that disagrees with the kept count raises RuntimeError.
     """
     if not 4 <= k <= n:
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
     if budget < 1:
         raise ValueError("budget must be positive")
-    import numpy as np
-
     t0 = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    draws = _Draws(seed)
     current = _start(n, k)[0]
     start_count = cur_count = count_fast(current, k).total
     best, best_count = current, cur_count
-    accepted = 0
+    accepted = scored = 0
+    memo: dict[int, int] = {}
     temperature = _T_START
     cooling = (_T_END / _T_START) ** (1 / budget)
     for _ in range(budget):
-        u = int(rng.integers(n))
-        w = int(rng.integers(n - 1))
+        u = draws.integers(n)
+        w = draws.integers(n - 1)
         if w >= u:
             w += 1
-        candidate = _toggle_edge(current, u, w)
-        gain = (count_containing_pair(candidate, k, u, w)
-                - count_containing_pair(current, k, u, w))
-        if gain >= 0 or rng.random() < math.exp(gain / temperature):
-            current, cur_count = candidate, cur_count + gain
+        gain = _toggle_gain(current, k, u, w, memo)
+        if gain >= 0 or draws.random() < math.exp(gain / temperature):
+            current, cur_count = _toggle_edge(current, u, w), cur_count + gain
             accepted += 1
+            scored += len(memo)
+            memo.clear()
             if cur_count > best_count:
                 best, best_count = current, cur_count
         temperature *= cooling
+    scored += len(memo)
     recount = (
         count_oracle(best, k).total if n <= 12 else count_fast(best, k).total
     )
@@ -376,5 +434,5 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         n=n, k=k, best_count=best_count, witnesses=[io.to_graph6(best)],
         exhaustive=False, explored=budget, seed=seed, budget=budget,
         runtime_ms=(time.perf_counter() - t0) * 1000,
-        start_count=start_count, accepted=accepted,
+        start_count=start_count, accepted=accepted, scored=scored,
     )

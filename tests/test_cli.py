@@ -249,6 +249,14 @@ def test_search_local(capsys):
     assert payload["report"]["best_count"] >= 1
 
 
+def test_search_local_refuses_a_negative_seed(capsys):
+    code, payload, err = run_cli(
+        capsys, "search", "--n", "8", "--k", "5", "--mode", "local", "--seed", "-1",
+    )
+    assert (code, payload) == (1, None)
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_analytic_exit_zero(capsys):
     code, payload, err = run_cli(capsys, "verify", "--suite", "analytic")
     assert code == 0
@@ -445,10 +453,11 @@ def test_cli_import_does_not_load_numpy():
 # became a plain dict and `--roots all` took its vector from the selected
 # mode's own counter, of which `search --mode local` was recorded again
 # when it began to report its start count, its accepted moves and whether
-# it improved on the start; `verify --suite analytic` recorded when each
-# slack product became one proof over its whole parameter range; and
-# `verify --suite bounds` and `verify --suite headline` recorded
-# before the bounds suite took its instances from `_lemma_instances`, whose
+# it improved on the start, and again when it began to report the
+# proposals it scored by pair walks; `verify --suite analytic` recorded
+# when each slack product became one proof over its whole parameter range;
+# and `verify --suite bounds` and `verify --suite headline` recorded before
+# the bounds suite took its instances from `_lemma_instances`, whose
 # `evaluated` and `case_counts` catch an instance skipped on the corpus.
 # "{input}" stands for the path of a graph6 file of the Petersen graph.
 # Runtimes and timestamps are left out of the comparison.

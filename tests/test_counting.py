@@ -24,6 +24,7 @@ from cyclecount.constructions import (
 )
 from cyclecount.counting import (
     _degeneracy_order,
+    _through_pair,
     count_cherry_rooted,
     count_containing_pair,
     count_edge_rooted,
@@ -421,6 +422,29 @@ def test_pair_counts_equal_oracle_on_random_graphs(gk):
     for v, w in itertools.permutations(range(g.n), 2):
         through = sum(1 for c in cycles if {v, w} <= c)
         assert count_containing_pair(g, k, v, w) == through, (k, v, w)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.sampled_from([0.2, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pair_walk_on_the_rows_before_a_toggle(n, p, seed):
+    # local search scores the toggle of uw on the rows before it, passing
+    # u's toggled neighbours; each pair of g, adjacent or not, must count
+    # what the oracle finds through u and w in the toggled graph
+    g = random_graph(n, p, seed)
+    rows, masks, full = g.rows, g._open_masks(), (1 << n) - 1
+    for u, w in itertools.combinations(range(n), 2):
+        toggled = list(rows)
+        toggled[u] ^= 1 << w
+        toggled[w] ^= 1 << u
+        h = Graph(n, toggled)
+        for k in range(3, min(n, 8) + 1):
+            want = _oracle_through(h, k, {u, w})
+            for a, b in ((u, w), (w, u)):
+                assert _through_pair(rows, masks, full, rows[a] ^ (1 << b), a, b, k) == want
 
 
 def _planted(n, k, seed):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,13 @@ from cyclecount.constructions import random_graph
 from cyclecount.counting import count_oracle, symmetrise
 from cyclecount.graph import Graph, from_edge_list
 from cyclecount.io import from_graph6
-from cyclecount.search import _canonical, _toggle_edge, exhaustive_max, local_search_max
+from cyclecount.search import (
+    _canonical,
+    _Draws,
+    _toggle_edge,
+    exhaustive_max,
+    local_search_max,
+)
 
 from blowup_recurrence import recurrence
 from graph_classes import all_classes
@@ -376,15 +383,15 @@ def test_local_search_frozen_results(args):
 
 
 def _move_digest(monkeypatch):
-    # hashes each toggle with the rows it is proposed on
+    # hashes each proposed toggle with the rows it is proposed on
     digest = hashlib.sha256()
-    real = search._toggle_edge
+    real = search._toggle_gain
 
-    def logged(g, u, w):
+    def logged(g, k, u, w, memo):
         digest.update(f"t{u},{w}:{g.rows}".encode())
-        return real(g, u, w)
+        return real(g, k, u, w, memo)
 
-    monkeypatch.setattr(search, "_toggle_edge", logged)
+    monkeypatch.setattr(search, "_toggle_gain", logged)
     return digest
 
 
@@ -414,24 +421,60 @@ def test_local_search_full_passes(monkeypatch):
 
 
 def test_local_search_raises_when_pair_counts_drift(monkeypatch):
-    # a pair count one too high on each candidate scores every toggle one
-    # too high, so the kept count drifts from the graph's; the final
-    # recount, by either counter, must refuse the result
-    real_toggle, real_pair = search._toggle_edge, search.count_containing_pair
-    made = [None]
+    # every toggle scored one too high makes the kept count drift from the
+    # graph's; the final recount, by either counter, must refuse the result
+    real = search._toggle_gain
 
-    def toggle(g, u, w):
-        made[0] = real_toggle(g, u, w)
-        return made[0]
+    def skewed(g, k, u, w, memo):
+        return real(g, k, u, w, memo) + 1
 
-    def skewed(g, k, u, w):
-        return real_pair(g, k, u, w) + (g is made[0])
-
-    monkeypatch.setattr(search, "_toggle_edge", toggle)
-    monkeypatch.setattr(search, "count_containing_pair", skewed)
+    monkeypatch.setattr(search, "_toggle_gain", skewed)
     for args in ((8, 5, 120, 9), (16, 7, 200, 5)):
         with pytest.raises(RuntimeError, match="drifted"):
             local_search_max(*args)
+
+
+def test_local_search_counts_the_proposals_it_walks():
+    # a pair proposed again before any move is accepted reuses its gain, so
+    # (30, 4, 2000, 1), which accepts no move, walks only the distinct pairs
+    # it proposes; the draws are numpy's, so they are replayed with numpy
+    r = local_search_max(30, 4, budget=2000, seed=1)
+    assert r.accepted == 0
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1)))
+    pairs = set()
+    for _ in range(2000):
+        u, w = int(rng.integers(30)), int(rng.integers(29))
+        pairs.add(frozenset((u, w + (w >= u))))
+        rng.random()  # every move loses, so each step also draws its acceptance
+    assert r.to_json_dict()["scored"] == r.scored == len(pairs) < 2000
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_draws_match_numpy_generator(seed):
+    # 10,000 calls mixing integers over bounds from 2 to past 2^31 with
+    # random(), which must leave a kept 32-bit half for the next integers
+    draws = _Draws(seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    bounds = (2, 3, 4, 28, 29, 30, 65535, 65536, 3 * 2**30 + 1)
+    mix = random.Random(seed)
+    for _ in range(10_000):
+        n = mix.choice(bounds + (None,))
+        if n is None:
+            assert draws.random() == rng.random()
+        else:
+            assert draws.integers(n) == rng.integers(n), n
+    # at n = 3 * 2^30 + 1 about one 32-bit draw in four is rejected, so 100
+    # draws take more than 50 words
+    words = [0]
+    raw = draws._raw
+
+    def counted():
+        words[0] += 1
+        return raw()
+
+    draws._raw, n = counted, 3 * 2**30 + 1
+    assert [draws.integers(n) for _ in range(100)] == rng.integers(n, size=100).tolist()
+    assert words[0] > 50
 
 
 def test_local_search_reaches_maxima_the_start_misses():
