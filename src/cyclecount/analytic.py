@@ -80,7 +80,7 @@ def _at(params, x: float) -> Interval:
     return _power_exp(*params)[0]((Interval(x),))
 
 
-def _maximise(value, grad, box, target=None) -> OptResult:
+def _maximise(value, grad, box) -> OptResult:
     """Branch-and-bound maximum of a C^1 function over a box of intervals.
 
     value(b) encloses the function over a box b of Intervals and grad(b) its
@@ -91,7 +91,7 @@ def _maximise(value, grad, box, target=None) -> OptResult:
     bisected on its widest side until that bound is within TOL of the best
     value proved at a box midpoint. on_boundary is proved: every box that
     may hold a maximiser lies on a face of the domain. Raises
-    VerificationError if the bound exceeds target or MAX_BOXES is reached.
+    VerificationError if MAX_BOXES is reached.
     """
     heap, best, arg, seen = [], -INF, None, 0
 
@@ -124,12 +124,9 @@ def _maximise(value, grad, box, target=None) -> OptResult:
             raise VerificationError(f"no bound within {TOL} of the best value after {seen} boxes")
         push(b[:i] + (Interval(lo, mid),) + b[i + 1:])
         push(b[:i] + (Interval(mid, hi),) + b[i + 1:])
-    upper = -heap[0][0]
-    if target is not None and upper > target:
-        raise VerificationError(f"supremum in [{best}, {upper}] exceeds {target}")
     on_boundary = all(any(lo == hi and lo in d for (lo, hi), d in zip(b, box))
                       for neg, _, b in heap if -neg >= best)
-    return OptResult(best, arg, on_boundary, upper, {"boxes": seen})
+    return OptResult(best, arg, on_boundary, -heap[0][0], {"boxes": seen})
 
 
 def f_properties() -> OptResult:

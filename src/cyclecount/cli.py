@@ -140,7 +140,7 @@ def cmd_count(args, manifest: dict) -> int:
     if args.mode == "oracle":
         report = count_oracle(g, args.k, rooted=bool(args.roots))
     else:
-        report = count_fast(g, args.k, rooted=every_root, threads=args.threads)
+        report = count_fast(g, args.k, rooted=every_root)
     payload = report.to_json_dict()
     payload["n"] = g.n
     payload["m"] = g.num_edges
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--check", action="store_true",
                          help="run both modes and compare")
     p_count.add_argument("--seed", type=int, help="seed for random constructs")
-    p_count.add_argument("--threads", type=int, default=1)
     p_count.add_argument("--out", help="also write the JSON report here")
     p_count.set_defaults(func=cmd_count)
 

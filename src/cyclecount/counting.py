@@ -251,21 +251,18 @@ def _through_root(adj, ncl, nbrs, free, k: int, credit=None) -> int:
     return through
 
 
-def _count_roots(g: Graph, k: int, roots, canonical: bool, credit=None) -> int:
-    """Induced k-cycles through each root, summed over `roots`.
-
-    canonical restricts every other vertex to labels above the root, so each
-    cycle is found once, at its minimum label; otherwise the root is merely
-    pinned. Direction is broken by second vertex < closing vertex.
+def _count_roots(g: Graph, k: int, roots, credit=None) -> int:
+    """Induced k-cycles through each root whose other vertices all have
+    labels above it, summed over `roots`: each cycle is found once, at its
+    minimum label. Direction is broken by second vertex < closing vertex.
     """
     adj = g.rows
     ncl = g._open_masks()
     full = (1 << g.n) - 1
     total = 0
     for root in roots:
-        allowed = full & -(2 << root) if canonical else full
-        through = _through_root(adj, ncl, adj[root] & allowed, allowed & ncl[root], k,
-                                credit)
+        above = full & -(2 << root)
+        through = _through_root(adj, ncl, adj[root] & above, above & ncl[root], k, credit)
         if credit is not None:
             credit[root] += through
         total += through
@@ -408,9 +405,12 @@ def _degeneracy_order(g: Graph) -> tuple[Graph | None, list[int], list[int]]:
 
 
 def _count_roots_block(args) -> tuple[int, list[int] | None]:
-    g, k, roots, rooted = args
-    credit = [0] * g.n if rooted else None
-    return _count_roots(g, k, roots, True, credit=credit), credit
+    """One block of the pool: the total and, if rooted, the credit of its
+    roots. It carries the rows, not a Graph, so only this module knows
+    that processes exist."""
+    n, rows, k, roots, rooted = args
+    credit = [0] * n if rooted else None
+    return _count_roots(Graph._trusted(n, rows), k, roots, credit), credit
 
 
 def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> CountReport:
@@ -430,30 +430,29 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
     _check_k(g, k)
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
-    h, order, roots = g, None, range(g.n)
+    h, order, roots = g, range(g.n), range(g.n)
     if g.n >= _ORDERED_FROM and k > 3:
         h, order, roots = _degeneracy_order(g)
     if not roots:  # g is a forest
-        total, credit = 0, [] if rooted else None
+        total, credit = 0, []
     elif threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the import path
 
-        blocks = [(h, k, roots[start::threads], rooted) for start in range(threads)]
+        blocks = [(h.n, h.rows, k, roots[start::threads], rooted) for start in range(threads)]
         workers = min(threads, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_roots_block, blocks))
         total = sum(t for t, _ in parts)
         credit = [sum(c) for c in zip(*(c for _, c in parts))] if rooted else None
     else:
-        total, credit = _count_roots_block((h, k, roots, rooted))
+        credit = [0] * h.n if rooted else None
+        total = _count_roots(h, k, roots, credit)
     report = CountReport(k=k, total=total)
     if rooted:
-        if h is not g:
-            per_vertex = [0] * g.n
-            for v, c in zip(order, credit):
-                per_vertex[v] = c
-            credit = per_vertex
-        report.rooted = dict(enumerate(credit))
+        per_vertex = [0] * g.n
+        for v, c in zip(order, credit):
+            per_vertex[v] = c
+        report.rooted = dict(enumerate(per_vertex))
     return report
 
 
@@ -465,7 +464,8 @@ def count_rooted(g: Graph, k: int, v: int) -> int:
     """
     _check_k(g, k)
     _check_vertices(g, v)
-    return _count_roots(g, k, [v], False)
+    adj, ncl = g.rows, g._open_masks()
+    return _through_root(adj, ncl, adj[v], ((1 << g.n) - 1) & ncl[v], k)
 
 
 def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:

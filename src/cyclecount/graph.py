@@ -21,11 +21,11 @@ class Graph:
     """Undirected simple graph with one bitset adjacency row per vertex.
 
     Instances are immutable after construction (rows are stored as a tuple
-    and never mutated), so they can be shared freely across worker threads
-    or processes. Construction validates symmetry and irreflexivity; only
-    `_trusted`, for rows derived from a valid graph, skips that. The slot
-    `_open` caches the open neighborhood masks of `_open_masks`; it takes
-    no part in equality, hashing or pickling.
+    and never mutated), so they can be shared freely across worker threads.
+    Construction validates symmetry and irreflexivity; only `_trusted`, for
+    rows derived from a valid graph, skips that. The slot `_open` caches
+    the open neighborhood masks of `_open_masks`; it takes no part in
+    equality or hashing.
     """
 
     __slots__ = ("n", "rows", "_open")
@@ -79,10 +79,6 @@ class Graph:
             object.__setattr__(self, "_open", masks)
             return masks
 
-    def __reduce__(self):
-        # default pickling would go through __setattr__, which is blocked
-        return (Graph, (self.n, self.rows))
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -101,16 +97,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, w) with u < w, lexicographically ordered."""
-        out = []
-        for u in range(self.n):
-            row = self.rows[u] >> (u + 1)
-            w = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, w))
-                row >>= 1
-                w += 1
-        return out
+        return [(u, w) for u in range(self.n) for w in self.neighbors(u) if w > u]
 
     @property
     def num_edges(self) -> int:

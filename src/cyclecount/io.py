@@ -30,10 +30,8 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    else:  # MAX_VERTICES is 65,536, so n fits the long form's 18-bit size
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    else:
-        raise ValueError(f"graph6 long form not supported for n={n}")
     rows = g.rows
     # column col holds rows 0..col-1 upward: the low bits of rows[col], reversed
     bits = "".join(format(rows[col] & ((1 << col) - 1), f"0{col}b")[::-1]

@@ -399,8 +399,8 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
     if budget < 1:
         raise ValueError("budget must be positive")
+    draws = _Draws(seed)  # before the clock: it may import numpy
     t0 = time.perf_counter()
-    draws = _Draws(seed)
     current = _start(n, k)[0]
     start_count = cur_count = count_fast(current, k).total
     best, best_count = current, cur_count

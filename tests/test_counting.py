@@ -338,6 +338,9 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, threads, cpus, workers
             return False
 
         def map(self, fn, items):
+            # a block carries rows, so the pool never needs a Graph pickled
+            items = list(items)
+            assert not any(isinstance(x, Graph) for item in items for x in item)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)

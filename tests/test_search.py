@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import os
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -153,6 +154,19 @@ def test_cascade_keeps_exactly_the_classes_above_threshold():
             for m, t, (kept, _) in zip(range(k, n + 1), thresholds, levels):
                 want = {rows: c for rows, c in _oracle_counts(m, k).items() if c >= t}
                 assert kept == want, (n, k, m)
+
+
+def test_cascade_keeps_the_start_where_it_attains_the_maximum():
+    # where the start's count is already the maximum, the final level must
+    # hold the start's class: the class list is complete, not just the count
+    checked = []
+    for (n, k), best in sorted(FROZEN_MAX.items()):
+        if n > 10 or search._lower_bound(n, k)[0] != best:
+            continue
+        final = search._cascade(n, k, search._thresholds(n, k, best))[-1][0]
+        assert final.get(_canonical(search._start(n, k)[0].rows)) == best, (n, k)
+        checked.append((n, k))
+    assert len(checked) >= 10
 
 
 def _lowered_bound_check(monkeypatch, n, k):
@@ -418,6 +432,19 @@ def test_local_search_full_passes(monkeypatch):
         local_search_max(*args)
         monkeypatch.undo()
         assert calls == {"count_fast": fast, "count_oracle": oracle}, args
+
+
+def test_local_search_clock_starts_after_the_draws(monkeypatch):
+    # building the draws may import numpy, which is no part of the search
+    delay = 0.5
+    real = search._Draws
+
+    def slow(seed):
+        time.sleep(delay)
+        return real(seed)
+
+    monkeypatch.setattr(search, "_Draws", slow)
+    assert local_search_max(8, 5, budget=20, seed=0).runtime_ms < delay * 1000
 
 
 def test_local_search_raises_when_pair_counts_drift(monkeypatch):
