@@ -104,10 +104,10 @@ def _emit(manifest: dict, report: dict, out_path: str | None) -> None:
         {"manifest": manifest, "report": report},
         indent=2, sort_keys=True,
     )
-    print(payload)
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(payload + "\n")
+    print(payload)
 
 
 def _get_graph(args, seed: int | None) -> tuple[Graph, dict]:

@@ -333,7 +333,7 @@ def _through_pair(adj, ncl, full, nbrs, v: int, w: int, k: int) -> int:
 _ORDERED_FROM = 32
 
 
-def _degeneracy_order(g: Graph) -> tuple[Graph | None, list[int], list[int]]:
+def _degeneracy_order(g: Graph) -> tuple[Graph, list[int], list[int]]:
     """g in degeneracy order, as (h, order, roots): order[i] of g is vertex i
     of h, and roots are the vertices of h with two neighbours after them.
 
@@ -348,10 +348,10 @@ def _degeneracy_order(g: Graph) -> tuple[Graph | None, list[int], list[int]]:
 
     A vertex removed with fewer than two neighbours left lies on no cycle of
     the vertices left, so h keeps only the vertices from the first root on;
-    when there is none, g is a forest and h is None. When the vertices kept
-    are all of g in label order, as for the cycle 0, 1, ..., n - 1, h is g.
-    The other vertices of h root no cycle either, so only the roots are
-    counted from.
+    when there is none, g is a forest and h is the graph on no vertex. When
+    the vertices kept are all of g in label order, as for the cycle 0, 1,
+    ..., n - 1, h is g. The other vertices of h root no cycle either, so
+    only the roots are counted from.
     """
     rows = g.rows
     degree = [row.bit_count() for row in rows]
@@ -385,8 +385,6 @@ def _degeneracy_order(g: Graph) -> tuple[Graph | None, list[int], list[int]]:
             bucket[degree[w]] |= low
         d = max(d - 1, 0)
     order = order[first:]
-    if not roots:
-        return None, [], []
     if order == list(range(g.n)):
         return g, order, roots
     rank = [0] * g.n
@@ -433,9 +431,7 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
     h, order, roots = g, range(g.n), range(g.n)
     if g.n >= _ORDERED_FROM and k > 3:
         h, order, roots = _degeneracy_order(g)
-    if not roots:  # g is a forest
-        total, credit = 0, []
-    elif threads > 1:
+    if threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the import path
 
         blocks = [(h.n, h.rows, k, roots[start::threads], rooted) for start in range(threads)]

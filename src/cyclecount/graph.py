@@ -21,7 +21,7 @@ class Graph:
     """Undirected simple graph with one bitset adjacency row per vertex.
 
     Instances are immutable after construction (rows are stored as a tuple
-    and never mutated), so they can be shared freely across worker threads.
+    and never mutated), so they can be shared and hashed freely.
     Construction validates symmetry and irreflexivity; only `_trusted`, for
     rows derived from a valid graph, skips that. The slot `_open` caches
     the open neighborhood masks of `_open_masks`; it takes no part in
@@ -53,16 +53,14 @@ class Graph:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def _trusted(cls, n: int, rows, open_masks=None) -> Graph:
+    def _trusted(cls, n: int, rows) -> Graph:
         """A graph from rows already known to be symmetric, loopless and in
-        range, built without revalidation; for graphs derived inside the
-        package from a valid one, such as toggled or symmetrised copies.
-        open_masks, if given, must be those `_open_masks` would compute."""
+        range, built without revalidation; for rows derived inside the
+        package from a valid graph's, such as symmetrised, relabelled or
+        toggled rows."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", tuple(rows))
-        if open_masks is not None:
-            object.__setattr__(g, "_open", tuple(open_masks))
         return g
 
     def __setattr__(self, name, value):

@@ -10,10 +10,10 @@ of Pippenger and Golumbic, 1975): a graph with count >= t has a vertex
 whose deletion leaves count >= ceil(t (m - k) / m). Starting from a lower
 bound L on the maximum, the count of a concrete graph, these thresholds
 descend to 1 at m = k, where the only class is C_k. local_search_max
-anneals by edge toggles, scored with exact integer pair counts, from the
-constructed graph that gives exhaustive search its bound L; it keeps the
-best graph seen, so its best value is a certified lower bound on the true
-maximum and never below L.
+anneals by in-place edge toggles, scored with exact integer pair counts,
+from the constructed graph that gives exhaustive search its bound L; it
+keeps the best graph seen, so its best value is a certified lower bound on
+the true maximum and never below L.
 """
 
 from __future__ import annotations
@@ -307,18 +307,6 @@ def exhaustive_max(n: int, k: int) -> SearchResult:
     )
 
 
-def _toggle_edge(g: Graph, u: int, w: int) -> Graph:
-    """g with the pair uw toggled. Its open masks are g's with bit w of
-    u's and bit u of w's flipped, so none is rebuilt."""
-    rows = list(g.rows)
-    rows[u] ^= 1 << w
-    rows[w] ^= 1 << u
-    masks = list(g._open_masks())
-    masks[u] ^= 1 << w
-    masks[w] ^= 1 << u
-    return Graph._trusted(g.n, rows, masks)
-
-
 class _Draws:
     """The draws `Generator(PCG64(SeedSequence(seed)))` makes for scalar
     `integers(n)`, 2 <= n <= 2^32, and `random()`, computed from scalar
@@ -358,16 +346,25 @@ class _Draws:
         return (self._raw() >> 11) * 2.0**-53
 
 
-def _toggle_gain(g: Graph, k: int, u: int, w: int, memo: dict[int, int]) -> int:
-    """The induced k-cycles a toggle of the pair uw adds to g, less those it
-    removes: the cycles through u and w after the toggle less those
-    before, two pair walks on g's own rows. memo maps each pair already
-    scored on g, as the bitset of its two vertices, to its gain, and is
-    cleared by the caller whenever g changes."""
+def _toggle(rows: list[int], ncl: list[int], u: int, w: int) -> None:
+    """Toggle the pair uw in the rows and open masks, in place."""
+    rows[u] ^= 1 << w
+    rows[w] ^= 1 << u
+    ncl[u] ^= 1 << w
+    ncl[w] ^= 1 << u
+
+
+def _toggle_gain(adj, ncl, k: int, u: int, w: int, memo: dict[int, int]) -> int:
+    """The induced k-cycles a toggle of the pair uw adds to the graph with
+    rows adj and open masks ncl, less those it removes: the cycles through
+    u and w after the toggle less those before, two pair walks on adj.
+    memo maps each pair already scored on this graph, as the bitset of its
+    two vertices, to its gain, and is cleared by the caller whenever the
+    graph changes."""
     key = (1 << u) | (1 << w)
     gain = memo.get(key)
     if gain is None:
-        adj, ncl, full = g.rows, g._open_masks(), (1 << g.n) - 1
+        full = (1 << len(adj)) - 1
         gain = (_through_pair(adj, ncl, full, adj[u] ^ (1 << w), u, w, k)
                 - _through_pair(adj, ncl, full, adj[u], u, w, k))
         memo[key] = gain
@@ -380,20 +377,22 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
 
     The walk starts from the constructed graph of `_start`: the balanced
     C_4 blow-up for k = 4, else the nested balanced C_k blow-up. Each of the
-    budget steps proposes the toggle of a random vertex pair uw. A toggle of
-    uw changes only the cycles through both u and w, so its gain is two
-    total-only pair counts walked on the current graph's rows
-    (`_toggle_gain`); no candidate graph is built unless the move is
-    accepted. Gains are kept per pair until a move is accepted, so a pair
-    proposed again on an unchanged graph is not walked again. A move that
-    loses nothing is accepted; one that loses d cycles is accepted with
-    probability e^(-d/T), where T falls geometrically from _T_START to
+    budget steps proposes the toggle of a random vertex pair uw. The walk
+    holds its graph as two lists taken from the start, rows and open masks.
+    A toggle of uw changes only the cycles through both u and w, so its
+    gain is two total-only pair counts walked on those lists
+    (`_toggle_gain`); an accepted toggle flips two bits of each in place
+    (`_toggle`). Gains are kept per pair until a move is accepted, so a
+    pair proposed again on an unchanged graph is not walked again. A move
+    that loses nothing is accepted; one that loses d cycles is accepted
+    with probability e^(-d/T), where T falls geometrically from _T_START to
     _T_END over the budget. The pairs and acceptance draws come from
-    `_Draws(seed)`, the stream of numpy's PCG64 generator. The best graph
-    seen is kept, so the best count is never below the start's. One full
-    count runs at the start; the best graph is recounted at the end, by the
-    subset oracle for n <= 12 and by count_fast above that, and a recount
-    that disagrees with the kept count raises RuntimeError.
+    `_Draws(seed)`, the stream of numpy's PCG64 generator. The rows of the
+    best graph seen are kept, so the best count is never below the start's.
+    One full count runs at the start; the one Graph built from the best
+    rows at the end is recounted, by the subset oracle for n <= 12 and by
+    count_fast above that, and a recount that disagrees with the kept
+    count raises RuntimeError.
     """
     if not 4 <= k <= n:
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
@@ -401,9 +400,10 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         raise ValueError("budget must be positive")
     draws = _Draws(seed)  # before the clock: it may import numpy
     t0 = time.perf_counter()
-    current = _start(n, k)[0]
-    start_count = cur_count = count_fast(current, k).total
-    best, best_count = current, cur_count
+    start = _start(n, k)[0]
+    start_count = cur_count = count_fast(start, k).total
+    rows, ncl = list(start.rows), list(start._open_masks())
+    best_rows, best_count = start.rows, cur_count
     accepted = scored = 0
     memo: dict[int, int] = {}
     temperature = _T_START
@@ -413,16 +413,18 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         w = draws.integers(n - 1)
         if w >= u:
             w += 1
-        gain = _toggle_gain(current, k, u, w, memo)
+        gain = _toggle_gain(rows, ncl, k, u, w, memo)
         if gain >= 0 or draws.random() < math.exp(gain / temperature):
-            current, cur_count = _toggle_edge(current, u, w), cur_count + gain
+            _toggle(rows, ncl, u, w)
+            cur_count += gain
             accepted += 1
             scored += len(memo)
             memo.clear()
             if cur_count > best_count:
-                best, best_count = current, cur_count
+                best_rows, best_count = tuple(rows), cur_count
         temperature *= cooling
     scored += len(memo)
+    best = Graph._trusted(n, best_rows)
     recount = (
         count_oracle(best, k).total if n <= 12 else count_fast(best, k).total
     )

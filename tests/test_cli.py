@@ -437,6 +437,22 @@ def test_out_flag_writes_identical_payload(capsys, tmp_path):
     assert json.loads(out.read_text()) == payload
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--construct", "petersen", "--k", "5"),
+    ("construct", "--construct", "cycle:6"),
+])
+def test_out_to_a_missing_directory_prints_no_payload(capsys, tmp_path, argv):
+    # the file is written before the payload is printed, so a failed write
+    # leaves nothing on stdout that reads as a success
+    out = tmp_path / "missing" / "report.json"
+    code = cli.main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.parent.exists()
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy serves only the seeded generators, and concurrent.futures only the
     # threads > 1 pool of the library's count_fast; each is imported when it runs
