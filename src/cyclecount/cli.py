@@ -59,8 +59,8 @@ def parse_construct(spec: str, seed: int | None = None) -> Graph:
     random:N,P | petersen
 
     P is a decimal or a fraction A/B. A spec whose shape or numbers do not
-    parse is refused as a whole; the builders' own errors (an order or a
-    depth out of range) keep their text.
+    parse is refused as a whole; the builders' own errors (an order, an
+    edge count or a depth out of range) keep their text.
     """
     kind, *fields = spec.split(":")
     shape = (kind, len(fields))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graph import Graph, _check_order, from_edge_list
+from .graph import Graph, _check_edges, _check_order, from_edge_list
 
 
 def cycle(k: int) -> Graph:
@@ -20,6 +20,7 @@ def cycle(k: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     _check_order(n)
+    _check_edges(n * (n - 1) // 2)
     full = (1 << n) - 1
     return Graph(n, [full & ~(1 << v) for v in range(n)])
 
@@ -29,6 +30,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both sides of a complete bipartite graph need a vertex")
     _check_order(a + b)
+    _check_edges(a * b)
     mask_a = (1 << a) - 1
     mask_b = ((1 << (a + b)) - 1) ^ mask_a
     return Graph(a + b, [mask_b] * a + [mask_a] * b)
@@ -49,6 +51,8 @@ def blow_up(base: Graph, parts) -> Graph:
     if any(t < 1 for t in sizes):
         raise ValueError("every part needs at least one vertex")
     _check_order(sum(sizes))
+    _check_edges(sum(sizes[u] * sizes[w] for u, w in base.edges())
+                 + sum(part.num_edges for part in parts if not isinstance(part, int)))
     offsets = [0, *itertools.accumulate(sizes)]
     part_mask = [((1 << t) - 1) << offset for t, offset in zip(sizes, offsets)]
     rows = []
@@ -74,6 +78,14 @@ def balanced_part_sizes(n: int, k: int) -> list[int]:
     return [q + 1] * r + [q] * (k - r)
 
 
+def _nested_edges(n: int, k: int) -> int:
+    """The edge count of nested_blow_up(n, k): each part's join to the next
+    plus the edges inside it."""
+    sizes = balanced_part_sizes(n, k)
+    inner = {a: _nested_edges(a, k) for a in set(sizes) if a >= k}
+    return sum(a * b + inner.get(a, 0) for a, b in zip(sizes, sizes[1:] + sizes[:1]))
+
+
 def nested_blow_up(n: int, k: int) -> Graph:
     """Nested balanced blow-up of C_k on n >= k vertices: the blow-up of C_k
     over balanced_part_sizes(n, k), where a part of size a >= k is itself
@@ -87,6 +99,7 @@ def nested_blow_up(n: int, k: int) -> Graph:
     """
     _check_order(n)
     base = cycle(k)
+    _check_edges(_nested_edges(n, k))
     sizes = balanced_part_sizes(n, k)
     inner = {a: nested_blow_up(a, k) for a in set(sizes) if a >= k}
     return blow_up(base, [inner.get(a, a) for a in sizes])
@@ -106,10 +119,11 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
+    pairs = n * (n - 1) // 2
+    _check_edges(round(p * pairs))
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    pairs = n * (n - 1) // 2
     starts = np.cumsum(np.arange(n, 0, -1)) - n  # the index of the pair (u, u + 1)
     rows = [0] * n
     for lo in range(0, pairs, 1 << 20):

@@ -21,8 +21,8 @@ triangles, which every order finds with one popcount per edge, the order is
 the label order. With rooted=True the same
 pass credits vertices at closure (each path vertex with the completions below
 it, each closing vertex with one), which yields the whole per-vertex vector in
-one canonical pass. `count_rooted` pins the root instead; the edge and
-cherry counts start from a pinned two- or three-vertex path.
+one canonical pass. `count_rooted` pins the root instead; the cherry count
+starts from a pinned three-vertex path.
 `count_containing_pair` walks each cycle through v and w once, from the side
 on which w is nearer to v: a prefix v, ..., w of at most k // 2 edges, then
 the walk from w closes the other side. Those are exactly the cycles that a
@@ -276,7 +276,9 @@ def _through_pair(adj, ncl, full, nbrs, v: int, w: int, k: int) -> int:
     vertex set.
 
     If w is in nbrs it is the second vertex and every other neighbor of v
-    may close; this case is all of count_edge_rooted. Otherwise the prefix
+    may close; this case is the count of the cycles through the edge vw,
+    since adjacent vertices of an induced cycle are consecutive on it.
+    Otherwise the prefix
     v, v1, ..., w of at most k // 2 edges is enumerated in either
     orientation: w is forced as the next vertex once it is a neighbor of the
     tip, and must come next at depth k // 2. The walk from w then closes the
@@ -464,19 +466,6 @@ def count_rooted(g: Graph, k: int, v: int) -> int:
     return _through_root(adj, ncl, adj[v], ((1 << g.n) - 1) & ncl[v], k)
 
 
-def count_edge_rooted(g: Graph, k: int, v: int, w: int) -> int:
-    """Number of induced k-cycles containing both endpoints of the edge vw.
-
-    Adjacent vertices inside an induced cycle are necessarily consecutive on
-    it, so this equals the number of cycles traversing vw as a cycle edge.
-    """
-    _check_k(g, k)
-    _check_vertices(g, v, w)
-    if not g.has_edge(v, w):
-        raise ValueError(f"({v}, {w}) is not an edge")
-    return _through_pair(g.rows, g._open_masks(), (1 << g.n) - 1, g.rows[v], v, w, k)
-
-
 def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
     """Number of induced k-cycles containing the induced 2-path u-v-w.
 
@@ -500,7 +489,8 @@ def count_cherry_rooted(g: Graph, k: int, u: int, v: int, w: int) -> int:
 
 
 def count_containing_pair(g: Graph, k: int, v: int, w: int) -> int:
-    """Number of induced k-cycles containing both v and w (any adjacency)."""
+    """Number of induced k-cycles containing both v and w (any adjacency):
+    for an edge vw, the cycles that traverse it."""
     if v == w:
         raise ValueError("pair count needs two distinct vertices")
     _check_k(g, k)

@@ -8,6 +8,7 @@ popcounts, and all derived counts are exact.
 from __future__ import annotations
 
 MAX_VERTICES = 1 << 16
+MAX_EDGES = 1 << 22  # about 5 s of construction, one Python step per edge
 
 
 def _check_order(n: int) -> None:
@@ -15,6 +16,13 @@ def _check_order(n: int) -> None:
     it before they allocate anything of that size."""
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [1, {MAX_VERTICES}]")
+
+
+def _check_edges(m: int) -> None:
+    """Refuse more than MAX_EDGES edges; constructions count them from their
+    parameters and call this after `_check_order`, before building a row."""
+    if m > MAX_EDGES:
+        raise ValueError(f"edge count {m} above the limit {MAX_EDGES}")
 
 
 class Graph:

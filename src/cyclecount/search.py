@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import io
 from .constructions import (
@@ -75,25 +75,11 @@ class SearchResult:
     scored: int | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "k": self.k,
-            "best_count": self.best_count,
-            "witnesses": list(self.witnesses),
-            "exhaustive": self.exhaustive,
-            "explored": self.explored,
-            "seed": self.seed,
-            "budget": self.budget,
-            "runtime_ms": self.runtime_ms,
-        }
+        out = asdict(self)
         if self.exhaustive:
-            out["lower_bound"] = self.lower_bound
-            out["lower_bound_from"] = self.lower_bound_from
-            out["levels"] = [dict(level) for level in self.levels]
+            del out["start_count"], out["accepted"], out["scored"]
         else:
-            out["start_count"] = self.start_count
-            out["accepted"] = self.accepted
-            out["scored"] = self.scored
+            del out["lower_bound"], out["lower_bound_from"], out["levels"]
             out["improved"] = self.best_count > self.start_count
         return out
 

@@ -15,7 +15,7 @@ from cyclecount.bounds import (
 from cyclecount.constructions import cycle, petersen, random_graph
 from cyclecount.counting import (
     count_cherry_rooted,
-    count_edge_rooted,
+    count_containing_pair,
     count_fast,
     count_rooted,
 )
@@ -37,7 +37,7 @@ def test_vertex_bound_worked_example():
 def test_edge_bound_worked_example():
     # edge of C_6, degrees 2 and 2, codegree 0: 4*(2/2)^2 = 4
     assert edge_bound(6, 6, 2, 2, 0) == 4.0
-    assert count_edge_rooted(cycle(6), 6, 0, 1) == 1 <= 4.0
+    assert count_containing_pair(cycle(6), 6, 0, 1) == 1 <= 4.0
     # codegree swallows one endpoint's free choices
     assert edge_bound(10, 6, 3, 5, 3) == 0.0
 

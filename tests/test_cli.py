@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import numpy as np
 from cyclecount import cli, constructions, corpus, io, search, suites
 from cyclecount.constructions import petersen, random_graph
 from cyclecount.counting import count_rooted
+from cyclecount.graph import MAX_EDGES
 from cyclecount.io import to_graph6
 
 
@@ -390,13 +392,20 @@ def test_oversize_constructs_are_refused_before_allocating(capsys, monkeypatch):
 
     monkeypatch.setattr(np.random, "Generator", NoDraws)
     monkeypatch.setattr(constructions, "Graph", no_graph)
-    for spec in ("random:70000,0.5", "iterated-blowup:C5:depth=7", "blowup:C5:20000",
-                 "cycle:70000", "kbipartite:40000,40000"):
+    # specs over both limits name the vertex count, which is checked first
+    vertices = "error: vertex count"
+    edges = f"error: edge count [0-9]+ above the limit {MAX_EDGES}$"
+    for spec, message in [
+        ("random:70000,0.5", vertices), ("iterated-blowup:C5:depth=7", vertices),
+        ("blowup:C5:20000", vertices), ("cycle:70000", vertices),
+        ("kbipartite:40000,40000", vertices), ("iterated-blowup:C3:depth=10", edges),
+        ("blowup:C6:1000", edges), ("kbipartite:3000,3000", edges), ("random:3000,1", edges),
+    ]:
         code, payload, err = run_cli(
             capsys, "count", "--construct", spec, "--k", "5", "--seed", "1"
         )
         assert code == 1 and payload is None
-        assert "error: vertex count" in err
+        assert err.count("error:") == 1 and re.search(message, err, re.M), err
 
 
 def test_large_random_graph_fits_a_limited_address_space():
@@ -500,9 +509,11 @@ def test_payload_matches_recorded_report(capsys, tmp_path, name):
 
 
 # Pieces the CLI fuzz below assembles into arguments and input files. Every
-# graph they can build has at most 64 vertices and few enough induced cycles
-# to count at once, or is refused for its order; "1000000" stays out of
-# range when a digit is dropped.
+# graph they can build has at most 64 vertices, or is refused for its order
+# or edge count, except where a spec cut short turns "1000000" into "100" or
+# "1000": then the fuzz can build, say, cycle:1000 or blowup:C5:100 (500
+# vertices), whose counts need not be quick. "1000000" stays out of range
+# when a digit is dropped.
 BIG = "1000000"
 INTS = ["-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", BIG, str(2**64), "x", ""]
 

@@ -7,7 +7,9 @@ from math import comb
 import numpy as np
 import pytest
 
+from cyclecount import constructions
 from cyclecount.constructions import (
+    _nested_edges,
     balanced_part_sizes,
     blow_up,
     complete_bipartite,
@@ -19,7 +21,7 @@ from cyclecount.constructions import (
 )
 from cyclecount.cli import parse_construct
 from cyclecount.counting import count_fast, count_oracle
-from cyclecount.graph import codegree, from_edge_list
+from cyclecount.graph import MAX_EDGES, codegree, from_edge_list
 
 from blowup_recurrence import recurrence
 
@@ -124,6 +126,33 @@ def test_nested_blowup_counts_the_recurrence(k):
         assert count_fast(g, k).total == recurrence(n, k), n
         if n <= 14:
             assert count_oracle(g, k).total == recurrence(n, k), n
+
+
+def test_nested_edges_follow_the_construction():
+    for k in range(3, 8):
+        for n in range(k, 120):
+            assert _nested_edges(n, k) == nested_blow_up(n, k).num_edges, (n, k)
+
+
+def test_constructions_over_the_edge_limit_build_nothing(monkeypatch):
+    # one edge over the limit or less is refused before any row is built;
+    # the largest of each shape within it is 2^22 edges or just under
+    assert comb(2896, 2) <= MAX_EDGES < comb(2897, 2) and 2048 * 2048 == MAX_EDGES
+    assert _nested_edges(3**7, 3) <= MAX_EDGES < _nested_edges(3**8, 3)
+
+    def no_graph(n, rows):
+        raise AssertionError(f"built a {n}-vertex graph")
+
+    monkeypatch.setattr(constructions, "Graph", no_graph)
+    for build in (
+        lambda: complete_graph(2897),
+        lambda: complete_bipartite(2048, 2049),
+        lambda: blow_up(cycle(4), [1024, 1024, 1024, 1025]),
+        lambda: nested_blow_up(3**8, 3),
+        lambda: random_graph(2897, 1.0, 0),
+    ):
+        with pytest.raises(ValueError, match=f"^edge count [0-9]+ above the limit {MAX_EDGES}$"):
+            build()
 
 
 def test_balanced_part_sizes():

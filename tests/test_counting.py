@@ -27,7 +27,6 @@ from cyclecount.counting import (
     _through_pair,
     count_cherry_rooted,
     count_containing_pair,
-    count_edge_rooted,
     count_fast,
     count_oracle,
     count_rooted,
@@ -180,7 +179,7 @@ def test_handshake_identities(n, seed, k):
 
 @pytest.mark.parametrize("counter, kind", [
     ("count_rooted", "vertex"),
-    ("count_edge_rooted", "edge"),
+    ("count_containing_pair", "edge"),
     ("count_cherry_rooted", "cherry"),
 ])
 def test_handshakes_name_a_counter_one_too_high(monkeypatch, counter, kind):
@@ -215,22 +214,15 @@ def test_rooted_counts_on_transitive_graphs():
         assert count_rooted(p, 5, v) == 6
     # and 4 through each edge: 2 * 12 * 5 / (10 * 3)
     for v, w in p.edges():
-        assert count_edge_rooted(p, 5, v, w) == 4
+        assert count_containing_pair(p, 5, v, w) == 4
     for v, w in cycle(6).edges():
-        assert count_edge_rooted(cycle(6), 6, v, w) == 1
+        assert count_containing_pair(cycle(6), 6, v, w) == 1
 
 
 def test_cherry_rooted_with_pendant_vertex():
     # C_5 on 0..4 plus a pendant 5 hanging off vertex 0
     g = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
     assert count_cherry_rooted(g, 5, 0, 1, 2) == 1
-
-
-def test_pair_count_agrees_with_edge_rooted_on_edges():
-    g = random_graph(12, 0.5, 3)
-    for k in (5, 6):
-        for v, w in g.edges():
-            assert count_containing_pair(g, k, v, w) == count_edge_rooted(g, k, v, w)
 
 
 def test_pair_count_on_nonadjacent_pair():
@@ -269,14 +261,14 @@ def test_symmetrise_identity(n, seed, k, data):
 def test_symmetrise_suite_checks_distinct_samples(monkeypatch):
     # every instance the suite reports must be its own (graph, k, v-, v+)
     samples = []
-    real = suites.count_containing_pair
+    real = suites._twin_update
 
-    def logged(g, k, v, w):
+    def logged(g, k, v_minus, v_plus, total):
         if k >= 5:
-            samples.append((g.rows, k, v, w))
-        return real(g, k, v, w)
+            samples.append((g.rows, k, v_minus, v_plus))
+        return real(g, k, v_minus, v_plus, total)
 
-    monkeypatch.setattr(suites, "count_containing_pair", logged)
+    monkeypatch.setattr(suites, "_twin_update", logged)
     check = next(c for c in suites.identities_suite()["checks"]
                  if c["name"] == "symmetrise_identity_k_ge_5")
     assert check["passed"] and check["instances"] == suites.SYMMETRISE_SAMPLES == 500
@@ -371,8 +363,6 @@ def test_fast_counters_equal_oracle_at_k3(n, p, seed):
     for v, w in itertools.combinations(range(n), 2):
         through = _oracle_through(g, 3, {v, w})
         assert count_containing_pair(g, 3, v, w) == through
-        if g.has_edge(v, w):
-            assert count_edge_rooted(g, 3, v, w) == through
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
@@ -501,7 +491,7 @@ def test_long_cycle_counts_without_recursion():
     g = cycle(1200)
     assert count_fast(g, 1200).total == 1
     assert count_rooted(g, 1200, 17) == 1
-    assert count_edge_rooted(g, 1200, 0, 1) == 1
+    assert count_containing_pair(g, 1200, 0, 1) == 1
     assert count_cherry_rooted(g, 1200, 0, 1, 2) == 1
     assert count_containing_pair(g, 1200, 3, 600) == 1
     assert sys.getrecursionlimit() == limit
@@ -533,8 +523,6 @@ def test_argument_validation():
     assert count_oracle(g, 3).total == 0  # oracle handles triangles
     with pytest.raises(ValueError):
         count_rooted(g, 6, 6)
-    with pytest.raises(ValueError):
-        count_edge_rooted(g, 6, 0, 2)  # not an edge
     assert count_cherry_rooted(g, 6, 0, 1, 2) == 1  # the 0-1-2 cherry of C_6
     with pytest.raises(ValueError):
         count_cherry_rooted(g, 6, 1, 1, 3)
@@ -546,14 +534,13 @@ def test_argument_validation():
 
 @pytest.mark.parametrize("v,w", [(0, -1), (-1, 0), (0, 6), (9, 0)])
 def test_vertices_outside_the_graph_are_refused(v, w):
-    # -1 once wrapped round to vertex 5 in symmetrise and in the edge and
-    # cherry counts, and the pair count reported 0 for a vertex the graph
-    # does not have
+    # -1 once wrapped round to vertex 5 in symmetrise and in the cherry
+    # count, and the pair count reported 0 for a vertex the graph does not
+    # have
     g = cycle(6)
     for call in (
         lambda: symmetrise(g, v, w),
         lambda: count_containing_pair(g, 5, v, w),
-        lambda: count_edge_rooted(g, 5, v, w),
         lambda: count_cherry_rooted(g, 5, v, w, 1),
     ):
         with pytest.raises(ValueError, match="leaves 0..5"):
