@@ -18,11 +18,14 @@ Beck's smallest-last order), so the walks from each root stay narrow; the
 graph is relabelled into that order first, and the walks compare labels as
 before. Below n = 32, where the ordering costs about what it saves, and for
 triangles, which every order finds with one popcount per edge, the order is
-the label order. With rooted=True the same
-pass credits vertices at closure (each path vertex with the completions below
-it, each closing vertex with one), which yields the whole per-vertex vector in
-one canonical pass. `count_rooted` pins the root instead; the cherry count
-starts from a pinned three-vertex path.
+the label order. For a total with k >= 5 on those same graphs (n >= 32),
+`count_fast` first counts through modules (`cyclecount.modular`), so a
+blow-up costs the count of its quotient, not one step per cycle;
+`_count_kernel` is the kernel alone. With rooted=True the same pass
+credits vertices at closure (each path vertex with the completions below
+it, each closing vertex with one), which yields the whole per-vertex
+vector in one canonical pass. `count_rooted` pins the root instead; the
+cherry count starts from a pinned three-vertex path.
 `count_containing_pair` walks each cycle through v and w once, from the side
 on which w is nearer to v: a prefix v, ..., w of at most k // 2 edges, then
 the walk from w closes the other side. Those are exactly the cycles that a
@@ -34,7 +37,9 @@ passing v's neighbours with bit w flipped walks the toggled graph.
 Two checks stay independent of the crediting loop: the subset oracle
 `count_oracle`, and the pinned-root total-only enumeration behind
 `count_rooted`, which the handshake identities compare with the credited
-vector vertex by vertex.
+vector vertex by vertex. Blow-ups are checked by the kernel alone beside
+`count_fast`, so a module path that agreed only with the blow-up
+recurrence would not pass.
 
 Python integers are arbitrary precision, so totals can never overflow.
 """
@@ -389,11 +394,19 @@ def _degeneracy_order(g: Graph) -> tuple[Graph, list[int], list[int]]:
     order = order[first:]
     if order == list(range(g.n)):
         return g, order, roots
-    rank = [0] * g.n
-    for i, v in enumerate(order):
-        rank[v] = i
+    return Graph._trusted(len(order), _image(rows, order, keep)), order, roots
+
+
+def _image(rows, verts, keep, rank=None) -> list[int]:
+    """Rows of the graph whose vertex i stands for verts[i] and is joined to
+    rank[w] for each neighbour w of verts[i] in keep; by default rank[w] is
+    the position of w in verts, so the graph is the one verts induce."""
+    if rank is None:
+        rank = [0] * len(rows)
+        for i, v in enumerate(verts):
+            rank[v] = i
     image = []
-    for v in order:
+    for v in verts:
         row = 0
         nbrs = rows[v] & keep
         while nbrs:
@@ -401,7 +414,16 @@ def _degeneracy_order(g: Graph) -> tuple[Graph, list[int], list[int]]:
             nbrs ^= low
             row |= 1 << rank[low.bit_length() - 1]
         image.append(row)
-    return Graph._trusted(len(order), image), order, roots
+    return image
+
+
+def _count_kernel(g: Graph, k: int) -> int:
+    """The induced k-cycles of g by the kernel alone, rooted as count_fast
+    roots them: count_fast's total without the module path."""
+    h, roots = g, range(g.n)
+    if g.n >= _ORDERED_FROM and k > 3:
+        h, _, roots = _degeneracy_order(g)
+    return _count_roots(h, k, roots)
 
 
 def _count_roots_block(args) -> tuple[int, list[int] | None]:
@@ -420,7 +442,11 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
     vertex has the fewest neighbours among the vertices after it) when
     n >= 32 and k >= 4, in label order otherwise, and walked in the one
     direction in which its second vertex comes before its closing one in
-    that order.
+    that order. A total with k >= 5 and n >= 32 on one thread is counted
+    through modules first (`modular._count_modular`): C_k is prime for
+    k >= 5, so a blow-up's cycles are its quotient's, weighted by the part
+    sizes, plus those inside its parts. Rooted counts, k <= 4 and n < 32
+    take the kernel alone.
     With rooted=True the same pass credits every vertex of every cycle, so
     the per-vertex counts cost no extra enumeration. With threads > 1 the
     root loop is partitioned into `threads` blocks, run by at most one worker
@@ -430,6 +456,12 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
     _check_k(g, k)
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
+    if not rooted and threads == 1:
+        if k >= 5 and g.n >= _ORDERED_FROM:
+            from .modular import _count_modular  # kept off the import path
+
+            return CountReport(k=k, total=_count_modular(g, k))
+        return CountReport(k=k, total=_count_kernel(g, k))
     h, order, roots = g, range(g.n), range(g.n)
     if g.n >= _ORDERED_FROM and k > 3:
         h, order, roots = _degeneracy_order(g)

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
@@ -103,6 +104,16 @@ def test_count_triangles_checked_in_both_modes(capsys, mode):
     report = payload["report"]
     assert report["check_agrees"] is True and report["total"] > 0
     assert sum(report["rooted"].values()) == 3 * report["total"]
+
+
+@pytest.mark.parametrize("spec,k,total", [("blowup:C5:100", 5, 10**10), ("blowup:C6:100", 6, 10**12)])
+def test_count_of_a_blow_up_takes_its_quotient(capsys, spec, k, total):
+    # the fuzz below can reach these specs; cycle by cycle they took 36 s
+    # and over 45 s, through their quotient they take milliseconds
+    start = time.perf_counter()
+    code, payload, _ = run_cli(capsys, "count", "--construct", spec, "--k", str(k))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and payload["report"]["total"] == total
 
 
 def test_count_has_no_threads_option(capsys):
@@ -512,8 +523,9 @@ def test_payload_matches_recorded_report(capsys, tmp_path, name):
 # graph they can build has at most 64 vertices, or is refused for its order
 # or edge count, except where a spec cut short turns "1000000" into "100" or
 # "1000": then the fuzz can build, say, cycle:1000 or blowup:C5:100 (500
-# vertices), whose counts need not be quick. "1000000" stays out of range
-# when a digit is dropped.
+# vertices). Their counts at k >= 5 go through the quotient and are quick;
+# at k = 3 and 4 the kernel counts them cycle by cycle, which need not be.
+# "1000000" stays out of range when a digit is dropped.
 BIG = "1000000"
 INTS = ["-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", BIG, str(2**64), "x", ""]
 

@@ -6,12 +6,13 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecount import suites
+from cyclecount import modular, suites
 from cyclecount.constructions import (
     balanced_part_sizes,
     blow_up,
@@ -23,6 +24,7 @@ from cyclecount.constructions import (
     random_graph,
 )
 from cyclecount.counting import (
+    _count_kernel,
     _degeneracy_order,
     _through_pair,
     count_cherry_rooted,
@@ -34,6 +36,7 @@ from cyclecount.counting import (
     symmetrise,
 )
 from cyclecount.graph import Graph, from_edge_list, nonadjacent_neighbor_pairs
+from cyclecount.modular import _count_modular, _count_weighted, _modules
 
 # values below were frozen from the subset-enumeration oracle
 FROZEN = [
@@ -564,8 +567,12 @@ def test_cherry_rooted_requires_real_cherry():
 
 
 def test_iterated_blowup_frozen():
+    # the kernel alone is checked too, so the module path is not the only
+    # side that meets the frozen values
     g = nested_blow_up(25, 5)
-    assert count_fast(g, 5).total == 3130
+    assert count_fast(g, 5).total == _count_kernel(g, 5) == 3130
+    g = _shuffled(nested_blow_up(125, 5), random.Random(125))
+    assert count_fast(g, 5).total == _count_kernel(g, 5) == 9781275
 
 
 def test_count_report_json_shape():
@@ -573,3 +580,171 @@ def test_count_report_json_shape():
     d = rep.to_json_dict()
     assert d["k"] == 5 and d["total"] == 12
     assert set(d["rooted"]) == {str(v) for v in range(10)}
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+
+
+def _substituted(rng, n):
+    """A graph on at most n vertices built by substitution: a random base
+    whose vertices become single vertices, independent sets, cliques or
+    random graphs, themselves substituted again now and then."""
+    if n < 3 or rng.random() < 0.2:
+        return random_graph(n, rng.choice((0.3, 0.5, 0.7)), rng.randrange(2**32))
+    base = random_graph(rng.randint(2, min(n, 7)), rng.choice((0.3, 0.5, 0.7)),
+                        rng.randrange(2**32))
+    room = n - base.n
+    parts = []
+    for _ in range(base.n):
+        extra = rng.randint(0, room // 2)
+        room -= extra
+        kind = rng.choice(("one", "free", "clique", "graph"))
+        if extra == 0 or kind == "one":
+            parts.append(1)
+        elif kind == "free":
+            parts.append(extra + 1)
+        elif kind == "clique":
+            parts.append(complete_graph(extra + 1))
+        else:
+            parts.append(_substituted(rng, extra + 1))
+    return blow_up(base, parts)
+
+
+def _module_cases():
+    """Graphs on at most 16 vertices with modules of every kind, relabelled."""
+    rng = random.Random(31)
+
+    def rand(n):
+        return random_graph(n, rng.choice((0.2, 0.4, 0.6, 0.8)), rng.randrange(2**32))
+
+    graphs = [_substituted(rng, rng.randint(5, 16)) for _ in range(240)]
+    for _ in range(20):
+        g = rand(rng.randint(4, 13))
+        twins = [1] * g.n
+        for v in rng.sample(range(g.n), 2):
+            twins[v] = rng.choice((2, complete_graph(2)))  # false or true twins
+        graphs.append(blow_up(g, twins))
+    for _ in range(20):
+        a, b = rand(rng.randint(2, 8)), rand(rng.randint(3, 8))
+        graphs.append(blow_up(Graph(2, [0, 0]), [a, b]))  # disconnected
+        graphs.append(blow_up(complete_graph(2), [a, b]))  # its complement too
+    for n in range(5, 17):
+        graphs += [Graph(n, [0] * n), complete_graph(n), rand(n)]
+    graphs += [rand(rng.randint(6, 11)) for _ in range(150)]
+    return [(_shuffled(g, rng), k) for g in graphs for k in range(5, min(g.n, 9) + 1)]
+
+
+def _closure(rows, s, x):
+    """The smallest module of G[s] that holds the vertex set x: add any
+    vertex that sees some but not all of it until none is left."""
+    while True:
+        for z in range(len(rows)):
+            if (s >> z) & 1 and not (x >> z) & 1 and rows[z] & x not in (0, x):
+                x |= 1 << z
+                break
+        else:
+            return x
+
+
+def test_modules_are_the_maximal_modules_without_the_pivot():
+    # u and w share a maximal module without v exactly when the smallest
+    # module holding both leaves v out, on all of a graph and on a subset
+    rng = random.Random(7)
+    graphs = [g for g, k in _module_cases() if k == 5 and g.n <= 11][::3]
+    assert len(graphs) >= 100
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for s in (full, full ^ (1 << rng.randrange(g.n))):
+            verts = [u for u in range(g.n) if (s >> u) & 1]
+            pair = {(u, w): _closure(g.rows, s, 1 << u | 1 << w) for u in verts for w in verts}
+            for v in verts:
+                want = {1 << v} | {
+                    sum(1 << w for w in verts if w != v and not (pair[u, w] >> v) & 1)
+                    for u in verts if u != v
+                }
+                # with k = 1 every part can pay, so the refinement runs out
+                parts, sizes, index = _modules(g.rows, s, v, 1)
+                assert set(parts) == want, (g.rows, s, v)
+                assert sizes == [part.bit_count() for part in parts]
+                assert all(parts[index[u]] >> u & 1 for u in verts)
+                # with k = 5 it stops where no quotient can pay
+                split = _modules(g.rows, s, v, 5)
+                pays = any(c >= 5 for c in sizes) or 2 * len(parts) <= len(verts)
+                assert (split is not None) == pays, (g.rows, s, v)
+                if split:
+                    assert set(split[0]) == want
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_module_path_equals_oracle_on_small_graphs(monkeypatch, forced):
+    # forced: the screen never declines a quotient, so every set with a
+    # pivot is counted through one, even a set of single vertices
+    if forced:
+        screen = modular._modules
+        monkeypatch.setattr(modular, "_modules", lambda adj, s, v, k: screen(adj, s, v, 1))
+    cases = _module_cases()
+    assert len(cases) >= 1000
+    work = Counter()
+    for g, k in cases:
+        assert _count_modular(g, k, work) == count_oracle(g, k).total, (g.rows, k)
+    # the sweep reaches every branch: quotients, pushed parts and kernel calls
+    assert min(work["quotients"], work["parts"]) >= 20, work
+    assert work["quotients" if forced else "kernels"] >= 500, work
+
+
+def test_weighted_kernel_counts_the_blow_up_by_its_weights():
+    # for k >= 5 an induced k-cycle of a blow-up by independent sets meets
+    # each part at most once, so the weighted count of the base is the
+    # plain count of the blow-up; n = 34 puts the base in degeneracy order
+    rng = random.Random(5)
+    for n, p in [(9, 0.4), (12, 0.5), (34, 0.15)]:
+        base = random_graph(n, p, n)
+        sizes = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+        for k in range(5, 8):
+            want = _count_kernel(blow_up(base, sizes), k)
+            assert _count_weighted(base, k, sizes) == want, (n, k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_module_path_equals_kernel_from_n_32(seed):
+    rng = random.Random(seed)
+    graphs = [nested_blow_up(n, k) for n, k in [(32, 5), (45, 6), (50, 7)]]
+    # a planted module in a graph with none, and substitutions at every size
+    base = random_graph(36, 0.3, seed)
+    graphs.append(blow_up(base, [random_graph(6, 0.5, seed)] + [1] * 35))
+    while len(graphs) < 8:
+        g = _substituted(rng, 60)
+        if g.n >= 32:
+            graphs.append(g)
+    for g in graphs:
+        g = _shuffled(g, rng)
+        for k in range(5, 8):
+            assert count_fast(g, k).total == _count_kernel(g, k), (g.n, k)
+
+
+def test_module_path_work():
+    # a graph with no module, or whose only module is a twin pair: one
+    # kernel call; a blow-up: one quotient and its parts, which hold no
+    # edge, or none if they are below k; a complete graph: no pivot at all
+    for g, want in [(petersen(), 12), (blow_up(cycle(40), [2] + [1] * 39), 0)]:
+        work = Counter()
+        assert _count_modular(g, 5, work) == want
+        assert work == {"kernels": 1}
+    work = Counter()
+    assert _count_modular(blow_up(cycle(12), [3] * 12), 5, work) == 0
+    assert _count_modular(blow_up(cycle(12), [3] * 12), 12, work) == 3**12
+    assert work == {"quotients": 2}
+    # the module of 6 is split off the pivot's part as a new part, and it
+    # alone makes the quotient pay
+    work = Counter()
+    assert _count_modular(blow_up(cycle(12), [1, 6] + [1] * 10), 5, work) == 0
+    assert work == {"quotients": 1, "parts": 1}
+    work = Counter()
+    assert _count_modular(blow_up(cycle(5), [100] * 5), 5, work) == 10**10
+    assert work == {"quotients": 1, "parts": 5}
+    work = Counter()
+    assert _count_modular(complete_graph(200), 5, work) == 0
+    assert not work
