@@ -1,13 +1,18 @@
 """Exact induced k-cycle counting: a subset oracle, a canonical-path
 enumerator, rooted variants, and the neighborhood-swap graph transform.
 
-All the path-extension counters share one enumerator, `_walk`, which keeps
-its partial paths on an explicit stack, so a k-cycle needs no recursion depth
-at any k. A path grows only through neighbors of its tip that avoid the closed
-neighborhoods of the earlier interior vertices and of the root. The last two
-vertices get no stack frame: the vertex before them counts the edges between
-its candidates for the penultimate vertex and the root neighbors that are still
-free to close, one popcount per closing vertex.
+The path-extension counters share two walks. `_walk` counts: every total,
+the pinned-root, pair and cherry counts and the exhaustive search's cascade
+run on it. `_walk_weighted` weighs and credits: each completion counts the
+product of its vertices' weights, and each vertex it adds is credited with
+that product. Both keep their partial paths on an explicit stack, so a
+k-cycle needs no recursion depth at any k. A path grows only through
+neighbors of its tip that avoid the closed neighborhoods of the earlier
+interior vertices and of the root. The last two vertices get no stack
+frame: the vertex before them takes the edges between its candidates for
+the penultimate vertex and the root neighbors that are still free to close,
+in `_walk` one popcount per closing vertex, in `_walk_weighted` one step per
+edge.
 
 `count_fast` roots each cycle at its first vertex in an order of the
 vertices and breaks direction by requiring the second vertex to come before
@@ -21,11 +26,13 @@ triangles, which every order finds with one popcount per edge, the order is
 the label order. For a total with k >= 5 on those same graphs (n >= 32),
 `count_fast` first counts through modules (`cyclecount.modular`), so a
 blow-up costs the count of its quotient, not one step per cycle;
-`_count_kernel` is the kernel alone. With rooted=True the same pass
-credits vertices at closure (each path vertex with the completions below
-it, each closing vertex with one), which yields the whole per-vertex
-vector in one canonical pass. `count_rooted` pins the root instead; the
-cherry count starts from a pinned three-vertex path.
+`_count_kernel` is the kernel alone. With rooted=True the same roots are
+walked by `_walk_weighted` with unit weights (`_credit_roots`), which
+credits each path vertex with the completions below it and each closing
+vertex with one, so the whole per-vertex vector costs one canonical pass.
+The module path walks its quotients the same way, with the part sizes as
+weights. `count_rooted` pins the root instead; the cherry count starts
+from a pinned three-vertex path.
 `count_containing_pair` walks each cycle through v and w once, from the side
 on which w is nearer to v: a prefix v, ..., w of at most k // 2 edges, then
 the walk from w closes the other side. Those are exactly the cycles that a
@@ -34,8 +41,8 @@ walks, both on the current graph's rows: the walks read v only through the
 neighbour set passed in for it, and w's row and mask only away from bit v, so
 passing v's neighbours with bit w flipped walks the toggled graph.
 
-Two checks stay independent of the crediting loop: the subset oracle
-`count_oracle`, and the pinned-root total-only enumeration behind
+Two checks stay independent of `_walk_weighted`: the subset oracle
+`count_oracle`, and the pinned-root enumeration by `_walk` behind
 `count_rooted`, which the handshake identities compare with the credited
 vector vertex by vertex. Blow-ups are checked by the kernel alone beside
 `count_fast`, so a module path that agreed only with the blow-up
@@ -129,7 +136,7 @@ def count_oracle(g: Graph, k: int, rooted: bool = False) -> CountReport:
     return report
 
 
-def _walk(adj, ncl, cand, fk, ck, last, credit=None) -> int:
+def _walk(adj, ncl, cand, fk, ck, last) -> int:
     """Count the induced completions of partial cycle paths back to their root.
 
     The walk runs an explicit stack of levels. A level holds `cand`, the
@@ -143,51 +150,13 @@ def _walk(adj, ncl, cand, fk, ck, last, credit=None) -> int:
     is usually the smaller one. The caller passes the path's tip as the single
     candidate of level 0, with the masks of the path before it; for last = 0
     that tip is itself penultimate.
-
-    credit: if a list, each path vertex is credited with the completions
-    below it and each closing vertex with one per closure.
     """
     if last == 0:
-        u = cand.bit_length() - 1
-        closers = adj[u] & ck
-        total = closers.bit_count()
-        if credit is not None and total:
-            credit[u] += total
-            while closers:
-                y = closers & -closers
-                closers ^= y
-                credit[y.bit_length() - 1] += 1
-        return total
+        return (adj[cand.bit_length() - 1] & ck).bit_count()
     pen = last - 1
     total = 0
     level = 0
     stack = []
-    if credit is None:
-        while True:
-            if cand:
-                low = cand & -cand
-                cand ^= low
-                u = low.bit_length() - 1
-                nxt = adj[u] & fk
-                nu = ncl[u]
-                nck = ck & nu
-                if nxt and nck:
-                    if level == pen:
-                        while nck:
-                            low = nck & -nck
-                            nck ^= low
-                            total += (adj[low.bit_length() - 1] & nxt).bit_count()
-                        continue
-                    stack.append((cand, fk, ck))
-                    cand = nxt
-                    fk &= nu
-                    ck = nck
-                    level += 1
-            elif stack:
-                cand, fk, ck = stack.pop()
-                level -= 1
-            else:
-                return total
     while True:
         if cand:
             low = cand & -cand
@@ -198,6 +167,62 @@ def _walk(adj, ncl, cand, fk, ck, last, credit=None) -> int:
             nck = ck & nu
             if nxt and nck:
                 if level == pen:
+                    while nck:
+                        low = nck & -nck
+                        nck ^= low
+                        total += (adj[low.bit_length() - 1] & nxt).bit_count()
+                    continue
+                stack.append((cand, fk, ck))
+                cand = nxt
+                fk &= nu
+                ck = nck
+                level += 1
+        elif stack:
+            cand, fk, ck = stack.pop()
+            level -= 1
+        else:
+            return total
+
+
+def _walk_weighted(adj, ncl, cand, fk, ck, last, w, prod, credit) -> int:
+    """`_walk` with vertex weights w, crediting each vertex it adds.
+
+    Each completion counts the product of the weights of its path's
+    vertices instead of one: prod is the product for the path before the
+    tip, and the walk multiplies in the weights of the vertices it adds,
+    from the tip to the closer. Each of those vertices is credited in
+    `credit` with the weights of the completions through it. With unit
+    weights the total is `_walk`'s and a credit counts completions.
+    """
+    if last == 0:
+        u = cand.bit_length() - 1
+        pu = prod * w[u]
+        closers = adj[u] & ck
+        total = 0
+        while closers:
+            low = closers & -closers
+            closers ^= low
+            y = low.bit_length() - 1
+            c = pu * w[y]
+            credit[y] += c
+            total += c
+        credit[u] += total
+        return total
+    pen = last - 1
+    total = 0
+    level = 0
+    stack = []
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            nxt = adj[u] & fk
+            nu = ncl[u]
+            nck = ck & nu
+            if nxt and nck:
+                if level == pen:
+                    pu = prod * w[u]
                     sub = 0
                     while nck:
                         low = nck & -nck
@@ -205,23 +230,28 @@ def _walk(adj, ncl, cand, fk, ck, last, credit=None) -> int:
                         y = low.bit_length() - 1
                         xs = adj[y] & nxt
                         if xs:
-                            c = xs.bit_count()
-                            sub += c
-                            credit[y] += c
+                            py = pu * w[y]
+                            c = 0
                             while xs:
-                                x = xs & -xs
-                                xs ^= x
-                                credit[x.bit_length() - 1] += 1
+                                low = xs & -xs
+                                xs ^= low
+                                x = low.bit_length() - 1
+                                cx = py * w[x]
+                                credit[x] += cx
+                                c += cx
+                            credit[y] += c
+                            sub += c
                     total += sub
                     credit[u] += sub
                     continue
-                stack.append((cand, fk, ck, u, total))
+                stack.append((cand, fk, ck, u, total, prod))
                 cand = nxt
                 fk &= nu
                 ck = nck
+                prod *= w[u]
                 level += 1
         elif stack:
-            cand, fk, ck, u, before = stack.pop()
+            cand, fk, ck, u, before, prod = stack.pop()
             credit[u] += total - before
             level -= 1
         else:
@@ -234,7 +264,7 @@ def _check_vertices(g: Graph, *vertices: int) -> None:
             raise ValueError(f"vertex {v} leaves 0..{g.n - 1}")
 
 
-def _through_root(adj, ncl, nbrs, free, k: int, credit=None) -> int:
+def _through_root(adj, ncl, nbrs, free, k: int) -> int:
     """Induced k-cycles through a root whose other vertices lie in
     nbrs | free, where nbrs are the root's neighbors there and free its
     non-neighbors; the root lies in neither. Direction is broken by second
@@ -252,11 +282,11 @@ def _through_root(adj, ncl, nbrs, free, k: int, credit=None) -> int:
         cand ^= low
         close = nbrs & -(low << 1)
         if close:
-            through += _walk(adj, ncl, low, free, close, k - 3, credit)
+            through += _walk(adj, ncl, low, free, close, k - 3)
     return through
 
 
-def _count_roots(g: Graph, k: int, roots, credit=None) -> int:
+def _count_roots(g: Graph, k: int, roots) -> int:
     """Induced k-cycles through each root whose other vertices all have
     labels above it, summed over `roots`: each cycle is found once, at its
     minimum label. Direction is broken by second vertex < closing vertex.
@@ -267,9 +297,33 @@ def _count_roots(g: Graph, k: int, roots, credit=None) -> int:
     total = 0
     for root in roots:
         above = full & -(2 << root)
-        through = _through_root(adj, ncl, adj[root] & above, above & ncl[root], k, credit)
-        if credit is not None:
-            credit[root] += through
+        total += _through_root(adj, ncl, adj[root] & above, above & ncl[root], k)
+    return total
+
+
+def _credit_roots(g: Graph, k: int, roots, w, credit) -> int:
+    """`_count_roots` with vertex weights w: the sum over the same cycles
+    of the product of their vertices' weights, each cycle's vertices
+    credited in `credit` with that product. Each root is walked as
+    `_through_root` walks it, by `_walk_weighted`.
+    """
+    adj = g.rows
+    ncl = g._open_masks()
+    full = (1 << g.n) - 1
+    total = 0
+    for root in roots:
+        above = full & -(2 << root)
+        nbrs = adj[root] & above
+        free = above & ncl[root]
+        through = 0
+        cand = nbrs
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            close = nbrs & -(low << 1)
+            if close:
+                through += _walk_weighted(adj, ncl, low, free, close, k - 3, w, w[root], credit)
+        credit[root] += through
         total += through
     return total
 
@@ -417,12 +471,18 @@ def _image(rows, verts, keep, rank=None) -> list[int]:
     return image
 
 
+def _ordered(g: Graph, k: int):
+    """(h, order, roots) as `_degeneracy_order` gives them for n >= 32 and
+    k > 3, else g itself in label order with every vertex a root."""
+    if g.n >= _ORDERED_FROM and k > 3:
+        return _degeneracy_order(g)
+    return g, range(g.n), range(g.n)
+
+
 def _count_kernel(g: Graph, k: int) -> int:
     """The induced k-cycles of g by the kernel alone, rooted as count_fast
     roots them: count_fast's total without the module path."""
-    h, roots = g, range(g.n)
-    if g.n >= _ORDERED_FROM and k > 3:
-        h, _, roots = _degeneracy_order(g)
+    h, _, roots = _ordered(g, k)
     return _count_roots(h, k, roots)
 
 
@@ -431,8 +491,11 @@ def _count_roots_block(args) -> tuple[int, list[int] | None]:
     roots. It carries the rows, not a Graph, so only this module knows
     that processes exist."""
     n, rows, k, roots, rooted = args
-    credit = [0] * n if rooted else None
-    return _count_roots(Graph._trusted(n, rows), k, roots, credit), credit
+    g = Graph._trusted(n, rows)
+    if not rooted:
+        return _count_roots(g, k, roots), None
+    credit = [0] * n
+    return _credit_roots(g, k, roots, [1] * n, credit), credit
 
 
 def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> CountReport:
@@ -447,7 +510,8 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
     k >= 5, so a blow-up's cycles are its quotient's, weighted by the part
     sizes, plus those inside its parts. Rooted counts, k <= 4 and n < 32
     take the kernel alone.
-    With rooted=True the same pass credits every vertex of every cycle, so
+    With rooted=True the roots are walked by `_walk_weighted` with unit
+    weights, which credits every vertex of every cycle in the same pass, so
     the per-vertex counts cost no extra enumeration. With threads > 1 the
     root loop is partitioned into `threads` blocks, run by at most one worker
     process per CPU; the reduction is integer addition, so results are
@@ -462,9 +526,7 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
 
             return CountReport(k=k, total=_count_modular(g, k))
         return CountReport(k=k, total=_count_kernel(g, k))
-    h, order, roots = g, range(g.n), range(g.n)
-    if g.n >= _ORDERED_FROM and k > 3:
-        h, order, roots = _degeneracy_order(g)
+    h, order, roots = _ordered(g, k)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept off the import path
 
@@ -475,8 +537,8 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
         total = sum(t for t, _ in parts)
         credit = [sum(c) for c in zip(*(c for _, c in parts))] if rooted else None
     else:
-        credit = [0] * h.n if rooted else None
-        total = _count_roots(h, k, roots, credit)
+        credit = [0] * h.n
+        total = _credit_roots(h, k, roots, [1] * h.n, credit)
     report = CountReport(k=k, total=total)
     if rooted:
         per_vertex = [0] * g.n
@@ -489,8 +551,8 @@ def count_fast(g: Graph, k: int, rooted: bool = False, threads: int = 1) -> Coun
 def count_rooted(g: Graph, k: int, v: int) -> int:
     """Number of induced k-cycles containing the vertex v.
 
-    Enumerates with v pinned as the root, independently of the crediting
-    pass behind count_fast(rooted=True).
+    Enumerates with v pinned as the root by `_walk`, independently of the
+    crediting walk behind count_fast(rooted=True).
     """
     _check_k(g, k)
     _check_vertices(g, v)

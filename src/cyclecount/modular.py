@@ -8,7 +8,10 @@ every part at most once (Gallai 1967). The cycles of the second kind are the
 induced k-cycles of the quotient, the graph with one vertex per part, joined
 as the parts are, each counted with the product of its parts' sizes. A
 blow-up of C_k is thus counted from its quotient, C_k itself, and its parts,
-not cycle by cycle.
+not cycle by cycle. This module finds the parts; the quotient is walked by
+`counting._credit_roots`, the same weighted walk that gives `count_fast`'s
+per-vertex vector, with the part sizes as weights, and its credits go
+unused here.
 
 `count_fast` imports this module only when it takes this path, a total with
 k >= 5 on n >= 32 vertices on one thread, so the other counts do not load
@@ -19,85 +22,15 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .counting import _ORDERED_FROM, _count_kernel, _count_roots, _degeneracy_order, _image
+from .counting import (
+    _count_kernel,
+    _count_roots,
+    _credit_roots,
+    _degeneracy_order,
+    _image,
+    _ordered,
+)
 from .graph import Graph
-
-
-def _walk_weighted(adj, ncl, cand, fk, ck, last, w, classes) -> int:
-    """`counting._walk`'s total with vertex weights: each completion counts
-    the product of the weights w of the vertices the walk adds, from the tip
-    to the closer, instead of one. classes lists (c, mask of the vertices of
-    weight c) for each distinct weight c, so the penultimate vertices'
-    weights are summed by popcounts. Needs last >= 1, that is k >= 4. It is
-    a function of its own so that the unweighted walks, most of them tiny,
-    pay nothing for it.
-    """
-    pen = last - 1
-    total = 0
-    level = 0
-    stack = []
-    prod = 1  # the weights of the path vertices above this level
-    while True:
-        if cand:
-            low = cand & -cand
-            cand ^= low
-            u = low.bit_length() - 1
-            nxt = adj[u] & fk
-            nu = ncl[u]
-            nck = ck & nu
-            if nxt and nck:
-                if level == pen:
-                    sub = 0
-                    while nck:
-                        low = nck & -nck
-                        nck ^= low
-                        y = low.bit_length() - 1
-                        xs = adj[y] & nxt
-                        if xs:
-                            sub += w[y] * sum(c * (xs & m).bit_count() for c, m in classes)
-                    total += prod * w[u] * sub
-                    continue
-                stack.append((cand, fk, ck, prod))
-                cand = nxt
-                fk &= nu
-                ck = nck
-                prod *= w[u]
-                level += 1
-        elif stack:
-            cand, fk, ck, prod = stack.pop()
-            level -= 1
-        else:
-            return total
-
-
-def _count_weighted(g: Graph, k: int, weights) -> int:
-    """Sum over the induced k-cycles of g (k >= 4) of the product of their
-    vertices' weights, one weight per vertex of g, rooted and ordered as
-    `counting._count_kernel` roots and orders them, each root walked as
-    `counting._through_root` walks it."""
-    h, order, roots = g, range(g.n), range(g.n)
-    if g.n >= _ORDERED_FROM:
-        h, order, roots = _degeneracy_order(g)
-    w = [weights[v] for v in order]
-    masks: dict[int, int] = {}
-    for v, c in enumerate(w):
-        masks[c] = masks.get(c, 0) | 1 << v
-    classes = list(masks.items())
-    adj, ncl = h.rows, h._open_masks()
-    full = (1 << h.n) - 1
-    total = 0
-    for root in roots:
-        above = full & -(2 << root)
-        nbrs = adj[root] & above
-        free = above & ncl[root]
-        cand = nbrs
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            close = nbrs & -(low << 1)
-            if close:
-                total += w[root] * _walk_weighted(adj, ncl, low, free, close, k - 3, w, classes)
-    return total
 
 
 def _pivot(adj, s: int) -> int | None:
@@ -251,7 +184,8 @@ def _count_modular(g: Graph, k: int, work=None) -> int:
             reps = [(part & -part).bit_length() - 1 for part in parts]
             rows = _image(adj, reps, s, index)
             quotient = Graph._trusted(len(parts), [row & ~(1 << i) for i, row in enumerate(rows)])
-            total += _count_weighted(quotient, k, sizes)
+            q, order, roots = _ordered(quotient, k)
+            total += _credit_roots(q, k, roots, [sizes[i] for i in order], [0] * q.n)
         for part, size in zip(parts, sizes):
             if size >= k:
                 work["parts"] += 1

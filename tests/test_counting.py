@@ -25,7 +25,9 @@ from cyclecount.constructions import (
 )
 from cyclecount.counting import (
     _count_kernel,
+    _credit_roots,
     _degeneracy_order,
+    _ordered,
     _through_pair,
     count_cherry_rooted,
     count_containing_pair,
@@ -36,7 +38,7 @@ from cyclecount.counting import (
     symmetrise,
 )
 from cyclecount.graph import Graph, from_edge_list, nonadjacent_neighbor_pairs
-from cyclecount.modular import _count_modular, _count_weighted, _modules
+from cyclecount.modular import _count_modular, _modules
 
 # values below were frozen from the subset-enumeration oracle
 FROZEN = [
@@ -698,14 +700,25 @@ def test_module_path_equals_oracle_on_small_graphs(monkeypatch, forced):
 def test_weighted_kernel_counts_the_blow_up_by_its_weights():
     # for k >= 5 an induced k-cycle of a blow-up by independent sets meets
     # each part at most once, so the weighted count of the base is the
-    # plain count of the blow-up; n = 34 puts the base in degeneracy order
+    # plain count of the blow-up, and a base vertex's weighted credit is
+    # its part's size times the cycles through any one vertex of that
+    # part; n = 34 puts the base in degeneracy order
     rng = random.Random(5)
     for n, p in [(9, 0.4), (12, 0.5), (34, 0.15)]:
         base = random_graph(n, p, n)
         sizes = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+        blown = blow_up(base, sizes)
+        first = [0, *itertools.accumulate(sizes)]
         for k in range(5, 8):
-            want = _count_kernel(blow_up(base, sizes), k)
-            assert _count_weighted(base, k, sizes) == want, (n, k)
+            h, order, roots = _ordered(base, k)
+            credit = [0] * h.n
+            total = _credit_roots(h, k, roots, [sizes[v] for v in order], credit)
+            assert total == _count_kernel(blown, k), (n, k)
+            per_vertex = [0] * n
+            for v, c in zip(order, credit):
+                per_vertex[v] = c
+            want = [sizes[v] * count_rooted(blown, k, first[v]) for v in range(n)]
+            assert per_vertex == want, (n, k)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cyclecount import search
 from cyclecount.constructions import random_graph
-from cyclecount.counting import count_oracle, symmetrise
+from cyclecount.counting import _subset_is_cycle, count_oracle, symmetrise
 from cyclecount.graph import Graph, from_edge_list
 from cyclecount.io import from_graph6
 from cyclecount.search import (
@@ -219,6 +219,83 @@ def test_exhaustive_matches_graph_atlas():
     # K_n alone has C(n, 3) triangles; C_n alone is an induced n-cycle
     assert exhaustive_max(7, 3).best_count == comb(7, 3)
     assert exhaustive_max(7, 7).best_count == 1
+
+
+@functools.cache
+def _atlas_rows(n: int) -> list[tuple[nx.Graph, list[int]]]:
+    """networkx's atlas graphs on n vertices, each with its adjacency rows."""
+    graphs = []
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() == n:
+            rows = [0] * n
+            for a, b in h.edges():
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+            graphs.append((h, rows))
+    return graphs
+
+
+@functools.cache
+def _atlas_extension_maxima(k: int) -> tuple[int, list[nx.Graph]]:
+    """The maximum induced k-cycle count over all graphs on 8 vertices, and
+    its maximisers, from networkx's atlas and the subset oracle's cycle
+    test alone: every graph on 8 vertices is one of the 1,044 atlas graphs
+    on 7 vertices with a vertex 7 joined to a set N of them, in one of 128
+    ways.
+
+    The cycles of such a graph avoid 7 or are S + {7} for a set S of k - 1
+    atlas vertices. Whether S + {7} induces a cycle depends only on N & S,
+    which must be two vertices, since 7 has degree 2 on the cycle; so each
+    S and pair T of S is tested once, with N = T, and counts for every N
+    with N & S = T.
+    """
+    best, maximisers = -1, []
+    neighbourhoods = np.arange(128)
+    for h, rows in _atlas_rows(7):
+        counts = np.zeros(128, dtype=np.int64)
+        for combo in itertools.combinations(range(7), k):
+            counts += _subset_is_cycle(rows, combo, sum(1 << u for u in combo))
+        for s in itertools.combinations(range(7), k - 1):
+            mask = sum(1 << u for u in s)
+            for a, b in itertools.combinations(s, 2):
+                t = 1 << a | 1 << b
+                joined = [row | (t >> u & 1) << 7 for u, row in enumerate(rows)] + [t]
+                if _subset_is_cycle(joined, (*s, 7), mask | 1 << 7):
+                    counts[neighbourhoods & mask == t] += 1
+        top = int(counts.max())
+        if top > best:
+            best, maximisers = top, []
+        if top == best:
+            maximisers += [(h, int(t)) for t in np.flatnonzero(counts == top)]
+    graphs = []
+    for h, t in maximisers:
+        g = h.copy()
+        g.add_node(7)
+        g.add_edges_from((7, u) for u in range(7) if t >> u & 1)
+        graphs.append(g)
+    return best, graphs
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_exhaustive_matches_the_atlas_extended_to_8_vertices(k):
+    # the cascade's other independent checks stop at n = 7; this one shares
+    # no code with it beyond the subset oracle's cycle test
+    best, maximisers = _atlas_extension_maxima(k)
+    classes = []
+    for g in maximisers:
+        if not any(nx.is_isomorphic(g, c) for c in classes):
+            classes.append(g)
+    # frozen from the first run, as (maximum, maximising classes)
+    assert (best, len(classes)) == {
+        3: (56, 1), 4: (36, 1), 5: (8, 14), 6: (4, 10), 7: (2, 2), 8: (1, 1)}[k]
+    r = exhaustive_max(8, k)
+    assert r.best_count == best
+    final = search._cascade(8, k, search._thresholds(8, k, r.lower_bound))[-1][0]
+    assert sum(count == best for count in final.values()) == len(classes)
+    assert len(r.witnesses) == min(len(classes), 10)
+    matched = [next(i for i, c in enumerate(classes) if nx.is_isomorphic(_nx_graph(g6), c))
+               for g6 in r.witnesses]
+    assert len(set(matched)) == len(matched)
 
 
 def _regular_graphs():
