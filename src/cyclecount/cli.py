@@ -122,7 +122,7 @@ def cmd_count(args, manifest: dict) -> int:
     g, manifest["input_digest"] = _get_graph(args, args.seed)
     every_root = args.roots == "all"
     roots = []
-    if args.roots and not every_root:
+    if args.roots is not None and not every_root:
         try:
             roots = [int(t) for t in args.roots.split(",")]
         except ValueError:

@@ -8,10 +8,13 @@ product of its vertices' weights, and each vertex it adds is credited with
 that product. Both keep their partial paths on an explicit stack, so a
 k-cycle needs no recursion depth at any k. A path grows only through
 neighbors of its tip that avoid the closed neighborhoods of the earlier
-interior vertices and of the root. The last two vertices get no stack
-frame: the vertex before them takes the edges between its candidates for
-the penultimate vertex and the root neighbors that are still free to close,
-in `_walk` one popcount per closing vertex, in `_walk_weighted` one step per
+interior vertices and of the root. `_walk` gives the last three path
+vertices, the closing one included, no stack frame: the vertex before them
+counts its whole subtree as the induced 3-paths from its candidates through
+a still-free vertex to the root neighbors that are still free to close
+(`_paths3`), one popcount per vertex of the smaller side. `_walk_weighted`
+gives the last two no frame: the vertex before them takes the edges between
+its candidates for the penultimate vertex and the closers, one step per
 edge.
 
 `count_fast` roots each cycle at its first vertex in an order of the
@@ -136,6 +139,35 @@ def count_oracle(g: Graph, k: int, rooted: bool = False) -> CountReport:
     return report
 
 
+def _paths3(adj, ncl, s, fk, t) -> int:
+    """The induced 3-paths a-x-b with a in s, b in t, a and b distinct and
+    non-adjacent, and x in fk.
+
+    The count is symmetric in s and t, so the outer loop runs over the
+    smaller set, as s; for each of its vertices z the edges between the far
+    ends `t & ncl[z]` and the middles `adj[z] & fk` are counted, one
+    popcount per vertex of the smaller of those two sides.
+    """
+    if s.bit_count() > t.bit_count():
+        s, t = t, s
+    total = 0
+    while s:
+        low = s & -s
+        s ^= low
+        z = low.bit_length() - 1
+        ends = t & ncl[z]
+        if ends:
+            mids = adj[z] & fk
+            if mids:
+                if ends.bit_count() > mids.bit_count():
+                    ends, mids = mids, ends
+                while ends:
+                    low = ends & -ends
+                    ends ^= low
+                    total += (adj[low.bit_length() - 1] & mids).bit_count()
+    return total
+
+
 def _walk(adj, ncl, cand, fk, ck, last) -> int:
     """Count the induced completions of partial cycle paths back to their root.
 
@@ -144,16 +176,20 @@ def _walk(adj, ncl, cand, fk, ck, last) -> int:
     inherit: `fk`, the vertices still free to become interior path vertices,
     and `ck`, the vertices still free to close the cycle. Entering a vertex u
     clears its closed neighborhood `ncl[u]` (stored complemented) from both.
-    The vertices chosen at level `last` are the penultimate ones. They get no
-    level of their own: a vertex u whose children they would be adds the
-    edges between them and its closers, counted from the closers' side, which
-    is usually the smaller one. The caller passes the path's tip as the single
-    candidate of level 0, with the masks of the path before it; for last = 0
-    that tip is itself penultimate.
+    The vertices chosen at levels `last - 1` and `last` are the last two
+    before the closer. They get no level of their own: a vertex u at level
+    `last - 2` closes its whole subtree at once, since its completions are
+    the induced 3-paths from its candidates through a still-free vertex to
+    its closers (`_paths3`). The caller passes the path's tip as the single
+    candidate of level 0, with the masks of the path before it; for last = 1
+    the tip's completions are those 3-paths, and for last = 0 the tip is
+    itself penultimate.
     """
     if last == 0:
         return (adj[cand.bit_length() - 1] & ck).bit_count()
-    pen = last - 1
+    if last == 1:
+        return _paths3(adj, ncl, cand, fk, ck)
+    ante = last - 2
     total = 0
     level = 0
     stack = []
@@ -166,11 +202,8 @@ def _walk(adj, ncl, cand, fk, ck, last) -> int:
             nu = ncl[u]
             nck = ck & nu
             if nxt and nck:
-                if level == pen:
-                    while nck:
-                        low = nck & -nck
-                        nck ^= low
-                        total += (adj[low.bit_length() - 1] & nxt).bit_count()
+                if level == ante:
+                    total += _paths3(adj, ncl, nxt, fk & nu, nck)
                     continue
                 stack.append((cand, fk, ck))
                 cand = nxt

@@ -373,8 +373,9 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
     that loses nothing is accepted; one that loses d cycles is accepted
     with probability e^(-d/T), where T falls geometrically from _T_START to
     _T_END over the budget. The pairs and acceptance draws come from
-    `_Draws(seed)`, the stream of numpy's PCG64 generator. The rows of the
-    best graph seen are kept, so the best count is never below the start's.
+    `_Draws(seed)`, the stream of numpy's PCG64 generator; a negative seed
+    is refused before any draw. The rows of the best graph seen are kept,
+    so the best count is never below the start's.
     One full count runs at the start; the one Graph built from the best
     rows at the end is recounted, by the subset oracle for n <= 12 and by
     count_fast above that, and a recount that disagrees with the kept
@@ -384,6 +385,8 @@ def local_search_max(n: int, k: int, budget: int = 1000, seed: int = 0) -> Searc
         raise ValueError(f"need 4 <= k <= n, got k={k}, n={n}")
     if budget < 1:
         raise ValueError("budget must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     draws = _Draws(seed)  # before the clock: it may import numpy
     t0 = time.perf_counter()
     start = _start(n, k)[0]

@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from cyclecount import cli
+from cyclecount.counting import _count_kernel, count_fast
+from cyclecount.graph import from_edge_list
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -51,6 +53,21 @@ def test_every_op_gives_one_checked_report(workload, tmp_path):
         if "--roots" in op.argv:
             n = workloads.ROOTS_ALL[0]
             assert sorted(report["rooted"], key=int) == [str(v) for v in range(n)]
+
+
+# The totals networkx gives for the benchmark's random count graphs, which
+# the test above checks only for their keys: deep walks on n >= 52.
+RANDOM_TOTALS = [("gnp0", 37_656), ("gnp1", 81_019), ("gnp2", 176_337),
+                 ("gnp3", 249_823), ("roots", 81_618)]
+
+
+@pytest.mark.parametrize("label, total", RANDOM_TOTALS)
+def test_random_count_graphs_keep_their_totals(label, total):
+    specs = {f"gnp{i}": spec for i, spec in enumerate(workloads.COUNT_RANDOM)}
+    n, p, k = specs.get(label, workloads.ROOTS_ALL)
+    g = from_edge_list(n, workloads.random_graph(1, label, n, p)[2])
+    assert count_fast(g, k).total == total
+    assert _count_kernel(g, k) == total
 
 
 # One small operation of each kind the traced benchmark runs.

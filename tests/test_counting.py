@@ -28,6 +28,7 @@ from cyclecount.counting import (
     _credit_roots,
     _degeneracy_order,
     _ordered,
+    _paths3,
     _through_pair,
     count_cherry_rooted,
     count_containing_pair,
@@ -101,6 +102,23 @@ def test_fast_equals_oracle_on_all_small_graphs(n):
 def test_fast_equals_oracle_on_random_graphs(n, p, seed, k):
     g = random_graph(n, p, seed)
     assert count_fast(g, k).total == count_oracle(g, k).total
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_paths3_counts_the_induced_3_paths(data):
+    # s and t are drawn independently, so either may be the larger and the
+    # helper loops over each; f avoids both, as the walk's free set does
+    n = data.draw(st.integers(min_value=3, max_value=14))
+    g = random_graph(n, data.draw(st.sampled_from([0.2, 0.4, 0.6, 0.8])),
+                     data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    s, t, f = (data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)) for _ in "stf")
+    f &= ~(s | t)
+    adj = g.rows
+    brute = sum(1 for a, x, b in itertools.product(range(n), repeat=3)
+                if s >> a & 1 and t >> b & 1 and f >> x & 1 and a != b
+                and not adj[a] >> b & 1 and adj[x] >> a & 1 and adj[x] >> b & 1)
+    assert _paths3(adj, g._open_masks(), s, f, t) == brute
 
 
 @settings(deadline=None, max_examples=25)

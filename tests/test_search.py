@@ -632,11 +632,17 @@ def test_toggles_carry_the_open_masks(n, p, seed, moves):
             assert tuple(ncl) == Graph(n, rows)._open_masks()
 
 
-def test_local_search_validates_args():
+def test_local_search_validates_args(monkeypatch):
+    def draws(seed):
+        raise AssertionError("drew before the arguments were checked")
+
+    monkeypatch.setattr(search, "_Draws", draws)
     with pytest.raises(ValueError):
         local_search_max(5, 8)
     with pytest.raises(ValueError):
         local_search_max(6, 5, budget=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        local_search_max(8, 5, seed=-3)
 
 
 def test_exhaustive_n8_k5():
