@@ -6,6 +6,11 @@ value plus an allowance (Tucker, Validated Numerics, 2011): it comes from
 outward-rounded intervals (`interval.Interval`), either through one
 branch-and-bound maximiser, `_maximise`, or, on a piece that a sign lemma
 proves monotone, as one enclosure at the end of the piece the lemma names.
+The maximiser bounds a box by the smaller of its natural and mean-value
+enclosures; where the maximand supplies a Hessian enclosure, as the
+product-sum dual does, a box proved concave is also bounded by its tangent
+plane, so the box around an interior maximum closes without being bisected
+to TOL (the c >= 3/2 product sum takes 35 boxes, 985 without the plane).
 
 Monotonicity, also on the unbounded tails [1, inf), [2, inf) and [4, inf),
 follows from a sign lemma: each derivative is a positive constant times an
@@ -80,23 +85,44 @@ def _at(params, x: float) -> Interval:
     return _power_exp(*params)[0]((Interval(x),))
 
 
-def _maximise(value, grad, box) -> OptResult:
+def _concave(h) -> bool:
+    """Whether every symmetric matrix [[a, c], [c, b]] with a, b, c in the
+    Intervals h = (a, b, c) is proved negative semidefinite. a <= a_hi < 0
+    and b <= b_hi < 0 give ab >= a_hi b_hi, and c^2 <= max(|c|)^2, so the
+    determinant ab - c^2 is at least a_hi b_hi - max(|c|)^2, computed in
+    outward-rounded Intervals. Rounding widens both products, so a
+    determinant of exactly 0 is not proved, and its box is bisected as any
+    other is.
+    """
+    a, b, c = h
+    m = Interval(max(-c[0], c[1]))
+    return a[1] < 0 and b[1] < 0 and (Interval(-a[1]) * Interval(-b[1]) - m * m)[0] >= 0
+
+
+def _maximise(value, grad, box, hess=None) -> OptResult:
     """Branch-and-bound maximum of a C^1 function over a box of intervals.
 
     value(b) encloses the function over a box b of Intervals and grad(b) its
     partial derivatives. A box whose partial derivative has a fixed strict
     sign collapses onto the face it points to, since no maximiser of the box
     lies off that face. Otherwise its bound is the smaller of the natural
-    enclosure and the mean-value form. The box with the largest bound is
-    bisected on its widest side until that bound is within TOL of the best
-    value proved at a box midpoint. on_boundary is proved: every box that
-    may hold a maximiser lies on a face of the domain. Raises
-    VerificationError if MAX_BOXES is reached.
+    enclosure and the mean-value form. On a 2-D box, hess(b), if given,
+    encloses (f_xx, f_yy, f_xy). Where `_concave` proves every matrix in it
+    negative semidefinite, f lies below its tangent plane at any point p of
+    the box (Hansen and Walster, Global Optimization Using Interval
+    Analysis, 2004), so the upper end of f(p) + sum g_i(p) (b_i - p_i) is a
+    third bound; p is the best point so far clamped into the box, and f(p)
+    may raise the best value as a midpoint does. The least bound is kept,
+    and info["tangent_boxes"] counts the boxes where it is the tangent one.
+    The box with the largest bound is bisected on its widest side until
+    that bound is within TOL of the best value proved at a point.
+    on_boundary is proved: every box that may hold a maximiser lies on a
+    face of the domain. Raises VerificationError if MAX_BOXES is reached.
     """
-    heap, best, arg, seen = [], -INF, None, 0
+    heap, best, arg, seen, tangent = [], -INF, None, 0, 0
 
     def push(b):
-        nonlocal best, arg, seen
+        nonlocal best, arg, seen, tangent
         g = grad(b)
         face = tuple(Interval(s[1]) if d[0] > 0 else Interval(s[0]) if d[1] < 0 else s
                      for s, d in zip(b, g))
@@ -112,7 +138,18 @@ def _maximise(value, grad, box) -> OptResult:
         whole = at if point == b else value(b)
         for side, m, d in zip(b, mid, g):
             at = at + d * (side - m)
-        heapq.heappush(heap, (-min(whole[1], at[1]), seen, b))
+        bound = min(whole[1], at[1])
+        if hess is not None and point != b and _concave(hess(b)):
+            p = tuple(min(max(x, lo), hi) for x, (lo, hi) in zip(arg, b))
+            ip = tuple(map(Interval, p))
+            plane = value(ip)
+            if plane[0] > best:
+                best, arg = plane[0], p
+            for side, x, d in zip(b, p, grad(ip)):
+                plane = plane + d * (side - x)
+            if plane[1] < bound:
+                bound, tangent = plane[1], tangent + 1
+        heapq.heappush(heap, (-bound, seen, b))
 
     push(tuple(Interval(*side) for side in box))
     while -heap[0][0] - best > TOL:
@@ -126,7 +163,8 @@ def _maximise(value, grad, box) -> OptResult:
         push(b[:i] + (Interval(mid, hi),) + b[i + 1:])
     on_boundary = all(any(lo == hi and lo in d for (lo, hi), d in zip(b, box))
                       for neg, _, b in heap if -neg >= best)
-    return OptResult(best, arg, on_boundary, -heap[0][0], {"boxes": seen})
+    return OptResult(best, arg, on_boundary, -heap[0][0],
+                     {"boxes": seen, "tangent_boxes": tangent})
 
 
 def f_properties() -> OptResult:
@@ -226,7 +264,8 @@ def maximize_g_uw() -> OptResult:
 
 
 def _dual_A(lam):
-    """Enclosures of z^2 y e^-(z+y) - lam z (z - y) and of its gradient."""
+    """Enclosures of z^2 y e^-(z+y) - lam z (z - y), of its gradient and of
+    its Hessian (f_zz, f_yy, f_zy)."""
 
     def value(b):
         z, y = b
@@ -237,7 +276,13 @@ def _dual_A(lam):
         e = (z + y).exp_neg()
         return [z * y * e * (2 - z) - lam * (2 * z - y), z * z * e * (1 - y) + lam * z]
 
-    return value, grad
+    def hess(b):
+        z, y = b
+        e = (z + y).exp_neg()
+        return (y * e * (2 - 4 * z + z * z) - 2 * lam, z * z * e * (y - 2),
+                z * (2 - z) * e * (1 - y) + lam)
+
+    return value, grad, hess
 
 
 def solve_A(c: float) -> OptResult:
@@ -263,7 +308,8 @@ def solve_A(c: float) -> OptResult:
     z_star = min(c, 1.5)
     lam = z_star * math.exp(-2 * z_star) / 2
     side = (1.0, c if c < 1.5 else 2.0)
-    dual = _maximise(*_dual_A(lam), [side, side])
+    value, grad, hess = _dual_A(lam)
+    dual = _maximise(value, grad, [side, side], hess)
     closed = z_star**3 * math.exp(-2 * z_star)
     _prove(dual.certified_upper <= closed * (1 + 1e-9),
            f"dual bound {dual.certified_upper} exceeds the closed form {closed}")
@@ -274,7 +320,8 @@ def solve_A(c: float) -> OptResult:
     max_value = z**3 * math.exp(-2 * z)  # at the feasible point y = z
     _prove(abs(max_value - closed) <= 1e-3, f"maximum {max_value} differs from {closed}")
     return OptResult(max_value, (z, z), not interior, dual.certified_upper, {
-        "boxes": dual.info["boxes"], "closed_form": closed, "multiplier": lam})
+        "boxes": dual.info["boxes"], "tangent_boxes": dual.info["tangent_boxes"],
+        "closed_form": closed, "multiplier": lam})
 
 
 def final_constant() -> OptResult:

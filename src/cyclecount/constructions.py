@@ -113,8 +113,10 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     generator family is fixed, so a (n, p, seed) triple names one graph on
     every platform. The draws come in chunks of 2^20, the same stream as
     one array of all n(n - 1)/2 of them, which would not fit in memory at
-    the largest n.
+    the largest n. A negative seed is refused before numpy is imported.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_order(n)
     p = float(p)
     if not 0.0 <= p <= 1.0:

@@ -19,6 +19,7 @@ from mpmath import iv, mp
 from cyclecount.analytic import (
     RATIO,
     VerificationError,
+    _concave,
     _dual_A,
     _f_iv,
     _g_c,
@@ -374,31 +375,73 @@ def _power(scale, k, a, b):
     return lambda x: scale * x**k * mp.exp(a - b * x)
 
 
+def _saddle():
+    """-x^2 - y^2 + 3xy, its gradient and its Hessian (-2, -2, 3)."""
+    def value(b):
+        x, y = b
+        return -(x * x) - y * y + 3 * x * y
+
+    def grad(b):
+        x, y = b
+        return [-2 * x + 3 * y, -2 * y + 3 * x]
+
+    return value, grad, lambda b: (Interval(-2.0), Interval(-2.0), Interval(3.0))
+
+
+def _double_well():
+    """-(x^2 - 1)^2 + x^3/50 - y^2, its gradient and its Hessian: concave
+    around the peaks near (-1, 0) and (1, 0), the second higher by about
+    0.04, and convex in x between them."""
+    def value(b):
+        x, y = b
+        u = x * x - 1
+        return -(u * u) + 0.02 * (x * x * x) - y * y
+
+    def grad(b):
+        x, y = b
+        return [-4 * x * (x * x - 1) + 0.06 * (x * x), -2 * y]
+
+    return value, grad, lambda b: (4 - 12 * (b[0] * b[0]) + 0.12 * b[0], Interval(-2.0),
+                                   Interval(0.0))
+
+
 def _objectives():
-    """(name, value enclosure, gradient enclosure, domain, mp function)."""
+    """(name, value enclosure, gradient enclosure, domain, mp function,
+    Hessian enclosure or None)."""
     out = [
-        (f"power_exp{p}", *_power_exp(*p), dom, _power(*p))
+        (f"power_exp{p}", *_power_exp(*p), dom, _power(*p), None)
         for p, dom in [((1, 1, 0, 1), [(0.0, 3.0)]), ((0.5, 2, 3, 1), [(0.0, 5.0)]),
                        ((0.5, 4, 5, 3), [(1.0, 1.5)]), ((0.5, 3, 4, 2), [(2.0, 6.0)]),
                        ((2, 1, 2, 1), [(2.0, 6.0)])]
     ]
     out.append(("f_iv", lambda b: _f_iv(b[0]), lambda b: [], [(0.0, 4.0)],
-                lambda x: x * mp.exp(-x)))
+                lambda x: x * mp.exp(-x), None))
     out.append(("g_c", *_g_c(), [(0.0, 4.0), (0.0, 2.0)],
-                lambda u, v: u * (u + v) * mp.exp(-u - v)))
+                lambda u, v: u * (u + v) * mp.exp(-u - v), None))
     # on each c's domain [0, c] x [0, 4 - c], the original product at
     # x = c - u and c_w = c + v
     for c in (2.0, 2.5, 4.0):
         out.append((f"g_c({c})", *_g_c(), [(0.0, c), (0.0, 4.0 - c)],
-                    lambda u, v, c=c: _g_c_original(c)(c - u, c + v)))
-    out.append(("dual_A", *_dual_A(LAM), [(1.0, 2.0), (1.0, 2.0)],
-                lambda z, y: z * z * y * mp.exp(-z - y) - LAM * z * (z - y)))
+                    lambda u, v, c=c: _g_c_original(c)(c - u, c + v), None))
+    value, grad, hess = _dual_A(LAM)
+    out.append(("dual_A", value, grad, [(1.0, 2.0), (1.0, 2.0)],
+                lambda z, y: z * z * y * mp.exp(-z - y) - LAM * z * (z - y), hess))
+    value, grad, hess = _saddle()
+    out.append(("saddle", value, grad, [(-1.0, 1.0), (-1.0, 1.0)],
+                lambda x, y: -x * x - y * y + 3 * x * y, hess))
+    value, grad, hess = _double_well()
+    out.append(("double_well", value, grad, [(-1.7, 1.3), (-1.0, 1.0)],
+                lambda x, y: -(x * x - 1) ** 2 + x**3 / 50 - y * y, hess))
     return out
 
 
-@pytest.mark.parametrize("name,value,grad,domain,mp_fn", _objectives(),
+# the Hessian enclosure (f_xx, f_yy, f_xy) as mp.diff orders
+HESS_ORDERS = [(2, 0), (0, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("name,value,grad,domain,mp_fn,hess", _objectives(),
                          ids=[o[0] for o in _objectives()])
-def test_value_and_gradient_enclosures_contain_mpmath(name, value, grad, domain, mp_fn):
+def test_value_and_gradient_enclosures_contain_mpmath(name, value, grad, domain, mp_fn, hess):
     rng = random.Random(name)
     for _ in range(40):
         box = []
@@ -407,6 +450,7 @@ def test_value_and_gradient_enclosures_contain_mpmath(name, value, grad, domain,
             box.append(Interval(a, a if rng.random() < 0.3 else b))
         box = tuple(box)
         enclosure, slopes = value(box), grad(box)
+        curvatures = [] if hess is None else list(zip(hess(box), HESS_ORDERS))
         points = list(itertools.product(*box))
         points += [tuple(rng.uniform(lo, hi) for lo, hi in box) for _ in range(3)]
         for p in points:
@@ -414,6 +458,8 @@ def test_value_and_gradient_enclosures_contain_mpmath(name, value, grad, domain,
             for i, slope in enumerate(slopes):
                 order = tuple(int(j == i) for j in range(len(p)))
                 assert contains(slope, mp.diff(mp_fn, p, order)), (name, box, p, i)
+            for curvature, order in curvatures:
+                assert contains(curvature, mp.diff(mp_fn, p, order)), (name, box, p, order)
 
 
 def _grid(lo, hi, n):
@@ -481,13 +527,59 @@ def test_certified_upper_brackets_known_maxima():
 
 
 def test_maximiser_proves_where_the_maximum_lies():
-    interior = _maximise(*_dual_A(LAM), [(1.0, 2.0), (1.0, 2.0)])
+    value, grad, hess = _dual_A(LAM)
+    interior = _maximise(value, grad, [(1.0, 2.0), (1.0, 2.0)], hess)
     assert not interior.on_boundary and interior.info["boxes"] > 1
     assert interior.argmax == pytest.approx((1.5, 1.5), abs=1e-5)
     # a strictly falling function collapses onto its left end in one step
     falling = _maximise(*_power_exp(2, 1, 2, 1), [(2.0, 30.0)])
     assert falling.on_boundary and falling.argmax == (2.0,)
     assert falling.info["boxes"] == 1
+
+
+def test_tangent_bound_closes_the_product_sum_and_only_it():
+    # the boxes around the interior maximum (3/2, 3/2) of the c >= 3/2 dual
+    # are concave, so their tangent planes close the proof without bisecting
+    # them to TOL; a maximisation without a Hessian takes no tangent bound
+    r = solve_A(2.0)
+    assert r.info["tangent_boxes"] > 0 and r.info["boxes"] <= 50
+    for res in (maximize_g_c(), final_constant(),
+                _maximise(*_dual_A(LAM)[:2], [(1.0, 2.0), (1.0, 2.0)])):
+        assert res.info["tangent_boxes"] == 0
+
+
+def test_indefinite_hessian_takes_no_tangent_bound():
+    # the diagonal is negative but the determinant 4 - 9 is not, so no box
+    # is proved concave; the tangent plane at the midpoint 0 would bound the
+    # whole box by f(0) = 0, below the maximum 1 at (1, 1) and (-1, -1)
+    value, grad, hess = _saddle()
+    r = _maximise(value, grad, [(-1.0, 1.0), (-1.0, 1.0)], hess)
+    assert r.certified_upper >= 1
+    assert r.max_value == pytest.approx(1.0, abs=1e-12)
+    assert r.on_boundary and r.info["tangent_boxes"] == 0
+
+
+def test_tangent_point_is_clamped_into_the_box():
+    # the best point may lie near the lower peak when a concave box around
+    # the higher one is bounded; a tangent plane there passes the convex
+    # valley and lies about 0.04 below the higher peak, f(1, 0) = 0.02
+    value, grad, hess = _double_well()
+    r = _maximise(value, grad, [(-1.7, 1.3), (-1.0, 1.0)], hess)
+    assert r.info["tangent_boxes"] > 0
+    assert r.certified_upper >= r.max_value >= 0.02
+    assert r.argmax == pytest.approx((1.0, 0.0), abs=0.01)
+
+
+@pytest.mark.parametrize("h, concave", [
+    ((Interval(-2.0), Interval(-3.0), Interval(-1.0, 2.0)), True),  # 6 - 4 > 0
+    # a determinant of exactly 0: each product is rounded outward, so their
+    # difference is not proved >= 0
+    ((Interval(-4.0, -1.0), Interval(-1.0), Interval(-1.0, 1.0)), False),
+    ((Interval(-2.0), Interval(-2.0), Interval(3.0)), False),  # 4 - 9 < 0
+    ((Interval(-1.0, 0.5), Interval(-5.0), Interval(0.0)), False),  # a may be > 0
+])
+def test_concave_needs_a_proved_negative_semidefinite_enclosure(h, concave):
+    assert _concave(h) is concave
 
 
 def test_monotone_claims_hold_on_unbounded_tails():

@@ -278,6 +278,16 @@ def test_search_local_refuses_a_negative_seed(capsys):
     assert err == "error: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["count", "construct"])
+def test_random_construct_refuses_a_negative_seed(capsys, command):
+    code, payload, err = run_cli(
+        capsys, command, "--construct", "random:5,0.5", "--seed", "-1",
+        *(["--k", "5"] if command == "count" else []),
+    )
+    assert (code, payload) == (1, None)
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_verify_analytic_exit_zero(capsys):
     code, payload, err = run_cli(capsys, "verify", "--suite", "analytic")
     assert code == 0
@@ -503,7 +513,10 @@ def test_cli_import_does_not_load_numpy():
 # and `verify --suite bounds` and `verify --suite headline` recorded before
 # the bounds suite took its instances from `_lemma_instances`, whose
 # `evaluated` and `case_counts` catch an instance skipped on the corpus;
-# the six count reports were recorded again when `count --threads` went.
+# the six count reports were recorded again when `count --threads` went;
+# and `verify --suite analytic` was recorded again when concave boxes took
+# a tangent-plane bound, which moved only the boxes and the certified upper
+# bound of product_sum_c1.5_to_2.0.
 # "{input}" stands for the path of a graph6 file of the Petersen graph.
 # Runtimes and timestamps are left out of the comparison.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
