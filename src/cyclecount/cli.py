@@ -95,7 +95,13 @@ def _load_input(path: str) -> tuple[Graph, dict]:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = {path: hashlib.sha256(raw).hexdigest()}
-    return io.loads(raw.decode("ascii")), digest
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"input byte {raw[exc.start]:#04x} at offset {exc.start} is not ASCII"
+        ) from None
+    return io.loads(text), digest
 
 
 def _emit(manifest: dict, report: dict, out_path: str | None) -> None:
@@ -130,6 +136,11 @@ def cmd_count(args, manifest: dict) -> int:
                 f"--roots takes 'all' or comma-separated vertices, got {args.roots!r}"
             ) from None
         _check_vertices(g, *roots)
+        seen = set()
+        for v in roots:
+            if v in seen:
+                raise ValueError(f"root {v} listed twice")
+            seen.add(v)
     if args.mode == "oracle" or args.check:
         _check_k(g, args.k)
         subsets = math.comb(g.n, args.k)

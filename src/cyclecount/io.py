@@ -16,13 +16,11 @@ from .graph import Graph, _check_order, from_edge_list
 GRAPH6_HEADER = ">>graph6<<"
 
 
-# graph6 character -> its six bits, most significant first
-_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
-# base64 digit i -> graph6 character 63 + i: both encode six bits per character
-_B64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# base64 digit i <-> graph6 character 63 + i: both encode six bits per
+# character; a byte outside the graph6 range becomes "!", in neither alphabet
+_B64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_B64 = bytes(_BASE64[c - 63] if 63 <= c < 127 else ord("!") for c in range(256))
 
 
 def to_graph6(g: Graph) -> str:
@@ -50,29 +48,33 @@ def from_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER) :]
     if not s:
         raise ValueError("empty graph6 string")
-    # every character of the 6-bit range becomes six bits, any other stays one
-    bits = s.translate(_BITS)
-    if len(bits) != 6 * len(s):
+    # utf-8 gives every character outside ASCII bytes of 0x80 and up
+    digits = s.encode("utf-8", "surrogatepass").translate(_GRAPH6_TO_B64)
+    if b"!" in digits:
         raise ValueError("graph6 characters outside the 6-bit range")
     if s[0] == "~":
         if len(s) < 4:
             raise ValueError("truncated graph6 size field")
         if s[1] == "~":
             raise ValueError("graph6 long form (n > 258047) not supported")
-        n = int(bits[6:24], 2)
-        start = 24
+        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
+        body = digits[4:]
     else:
         n = ord(s[0]) - 63
-        start = 6
+        body = digits[1:]
     _check_order(n)
     nbits = n * (n - 1) // 2
-    groups = len(s) - start // 6
-    if groups != (nbits + 5) // 6:
+    if len(body) != (nbits + 5) // 6:
         raise ValueError(
-            f"graph6 body has {groups} groups, expected {(nbits + 5) // 6} for n={n}"
+            f"graph6 body has {len(body)} groups, expected {(nbits + 5) // 6} for n={n}"
         )
-    if "1" in bits[start + nbits :]:
+    # the encoder's path in reverse: padded to whole 4-digit blocks ("A" is
+    # zero), base64 gives the bytes whose bits are the body's
+    body += b"A" * (-len(body) % 4)
+    bits = format(int.from_bytes(base64.b64decode(body), "big"), f"0{6 * len(body)}b")
+    if "1" in bits[nbits:]:
         raise ValueError("nonzero padding bits in graph6 body")
+    start = 0
     rows = [0] * n
     for col in range(1, n):
         low = rows[col] = int(bits[start : start + col][::-1], 2)

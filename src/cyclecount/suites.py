@@ -65,24 +65,33 @@ def _twin_update(g, k: int, v_minus: int, v_plus: int, total: int) -> int:
 def _handshake_failures(g, k: int) -> list[str]:
     """The handshakes that fail on g at k: `vertex` for k * total against
     the credited vector's sum, and `vertex@v`, `edge@v` and `cherry@v` for
-    vertex v's pinned-root, edge and cherry sums against its credit."""
+    vertex v's pinned-root, edge and cherry sums against its credit.
+
+    Each edge is walked once, its count added to both endpoints, and each
+    induced 2-path u-v-w once, as u < w: a cycle through v passes through
+    exactly one unordered cherry centred at v, so the cherry sum is v's
+    credit and the edge sum twice it."""
     failures = []
     report = count_fast(g, k, rooted=True)
     if k * report.total != sum(report.rooted.values()):
         failures.append("vertex")
+    edge_sums = [0] * g.n
+    for u, w in g.edges():
+        count = count_containing_pair(g, k, u, w)
+        edge_sums[u] += count
+        edge_sums[w] += count
     for v in range(g.n):
         # the one-pass vector sums to k * total by construction, so it is
         # checked vertex by vertex against the pinned-root enumeration
         if report.rooted[v] != count_rooted(g, k, v):
             failures.append(f"vertex@{v}")
-        edge_sum = sum(count_containing_pair(g, k, v, w) for w in g.neighbors(v))
-        if edge_sum != 2 * report.rooted[v]:
+        if edge_sums[v] != 2 * report.rooted[v]:
             failures.append(f"edge@{v}")
         cherry_sum = sum(
             count_cherry_rooted(g, k, u, v, w)
-            for u, w in nonadjacent_neighbor_pairs(g, v)
+            for u, w in nonadjacent_neighbor_pairs(g, v) if u < w
         )
-        if cherry_sum != 2 * report.rooted[v]:
+        if cherry_sum != report.rooted[v]:
             failures.append(f"cherry@{v}")
     return failures
 
@@ -147,9 +156,10 @@ def identities_suite() -> dict:
 def _lemma_instances(g, k: int, heavy: bool = False):
     """(lemma, vertices, count, ceiling, constant) for every instance of the
     paper's ceilings on g at k: the global one, each vertex, and unless heavy
-    each edge and, for k >= 6, each induced 2-path u-v-w (cherry). With
-    constant None the ceiling is the exact `Fraction`; otherwise constant is
-    (name, low) and the ceiling is that constant times `ceiling`."""
+    each edge and, for k >= 6, each induced 2-path u-v-w (cherry), in both
+    orders of u and w from one walk and one ceiling. With constant None the
+    ceiling is the exact `Fraction`; otherwise constant is (name, low) and
+    the ceiling is that constant times `ceiling`."""
     n = g.n
     report = count_fast(g, k, rooted=True)
     yield "global", (), report.total, 2 * Fraction(n, k) ** k, ("e", E_LOWER)
@@ -164,13 +174,18 @@ def _lemma_instances(g, k: int, heavy: bool = False):
     if k < 6:
         return
     for v in range(n):
+        # (u, w) comes before (w, u), and the count and the ceiling are
+        # symmetric in u and w: both are taken once, at u < w
+        cherries = {}
         for u, w in nonadjacent_neighbor_pairs(g, v):
-            ceiling = cherry_bound(
-                n, k, degs[u], degs[v], degs[w],
-                codegree(g, u, v), codegree(g, v, w), codegree(g, u, w),
-                triple_codegree(g, u, v, w),
-            )
-            yield "cherry", (u, v, w), count_cherry_rooted(g, k, u, v, w), ceiling, None
+            if u < w:
+                cherries[u, w] = count_cherry_rooted(g, k, u, v, w), cherry_bound(
+                    n, k, degs[u], degs[v], degs[w],
+                    codegree(g, u, v), codegree(g, v, w), codegree(g, u, w),
+                    triple_codegree(g, u, v, w),
+                )
+            count, ceiling = cherries[min(u, w), max(u, w)]
+            yield "cherry", (u, v, w), count, ceiling, None
 
 
 def _exceeds(count: int, ceiling, constant) -> bool:

@@ -197,6 +197,28 @@ def test_empty_roots_are_refused(capsys):
 
 
 @pytest.mark.parametrize("mode", ["fast", "oracle"])
+@pytest.mark.parametrize("roots, root", [("3,3", 3), ("0,3,7,0", 0)])
+def test_repeated_roots_are_refused(capsys, mode, roots, root):
+    # a root listed twice used to be merged silently; an edge listed twice
+    # is refused, and so is this
+    code, payload, err = run_cli(
+        capsys, "count", "--construct", "petersen", "--k", "5",
+        "--mode", mode, "--roots", roots,
+    )
+    assert (code, payload) == (1, None)
+    assert err == f"error: root {root} listed twice\n"
+
+
+def test_non_ascii_input_names_its_byte(capsys, tmp_path):
+    # the bare codec error of Python is replaced by one line naming the byte
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"B?\xff")
+    code, payload, err = run_cli(capsys, "count", "--input", str(path), "--k", "3")
+    assert (code, payload) == (1, None)
+    assert err == "error: input byte 0xff at offset 2 is not ASCII\n"
+
+
+@pytest.mark.parametrize("mode", ["fast", "oracle"])
 @pytest.mark.parametrize("roots, message", [
     ("0,x", "error: --roots takes 'all' or comma-separated vertices, got '0,x'"),
     ("0,999", "error: vertex 999 leaves 0..124"),

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecount import modular, suites
+from cyclecount.bounds import cherry_bound
 from cyclecount.constructions import (
     balanced_part_sizes,
     blow_up,
@@ -38,7 +39,13 @@ from cyclecount.counting import (
     is_induced_cycle,
     symmetrise,
 )
-from cyclecount.graph import Graph, from_edge_list, nonadjacent_neighbor_pairs
+from cyclecount.graph import (
+    Graph,
+    codegree,
+    from_edge_list,
+    nonadjacent_neighbor_pairs,
+    triple_codegree,
+)
 from cyclecount.modular import _count_modular, _modules
 
 # values below were frozen from the subset-enumeration oracle
@@ -296,6 +303,45 @@ def test_symmetrise_suite_checks_distinct_samples(monkeypatch):
                  if c["name"] == "symmetrise_identity_k_ge_5")
     assert check["passed"] and check["instances"] == suites.SYMMETRISE_SAMPLES == 500
     assert len(samples) == len(set(samples)) == 500
+
+
+def test_suites_walk_each_edge_and_each_cherry_once(monkeypatch):
+    # an edge and an induced 2-path u-v-w are unordered: the handshake and
+    # the bounds suite walk each once, and the bounds suite still yields
+    # both orders of a cherry, each with the count and ceiling of its own
+    calls = Counter()
+
+    def logged(name, key):
+        real = getattr(suites, name)
+
+        def call(*args):
+            calls[name, key(*args)] += 1
+            return real(*args)
+        monkeypatch.setattr(suites, name, call)
+
+    logged("count_containing_pair", lambda g, k, v, w: (min(v, w), max(v, w)))
+    logged("count_cherry_rooted", lambda g, k, u, v, w: (min(u, w), v, max(u, w)))
+    logged("cherry_bound", lambda n, k, du, dv, dw, xuv, xvw, xuw, z: (du, dv, dw))
+    g = random_graph(10, 0.4, 0)
+    ordered = [(u, v, w) for v in range(g.n) for u, w in nonadjacent_neighbor_pairs(g, v)]
+    cherries = {(min(u, w), v, max(u, w)) for u, v, w in ordered}
+    once = Counter([("count_containing_pair", e) for e in g.edges()]
+                   + [("count_cherry_rooted", c) for c in cherries])
+
+    assert suites._handshake_failures(g, 6) == []
+    assert calls == once
+    calls.clear()
+    instances = [i for i in suites._lemma_instances(g, 6) if i[0] == "cherry"]
+    assert sum(calls.pop(key) for key in list(calls) if key[0] == "cherry_bound") == len(cherries)
+    assert calls == once
+    degs = g.degree_sequence()
+    assert instances == [
+        ("cherry", (u, v, w), count_cherry_rooted(g, 6, u, v, w), cherry_bound(
+            g.n, 6, degs[u], degs[v], degs[w], codegree(g, u, v), codegree(g, v, w),
+            codegree(g, u, w), triple_codegree(g, u, v, w)), None)
+        for u, v, w in ordered
+    ]
+    assert len(ordered) == 2 * len(cherries) > 0
 
 
 def test_symmetrise_structure_and_edge_cases():
